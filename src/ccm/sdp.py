@@ -14,13 +14,18 @@ variables are eliminated by a QR presolve, and linearly dependent
 equalities are pruned (or turned into immediate infeasibility
 certificates), so the Schur complement stays positive definite.
 
-All target problems have block sizes below ~20 and under ~100 equalities;
-everything is dense and deterministic.
+Target problems have PSD blocks up to 30x30, cone dimension (svec
+coordinates over all blocks) up to ~540 and up to ~260 equalities (~220
+after the presolve); everything is dense and deterministic. Each block lives
+in svec coordinates (see _svec_index); the NT scaling G is kept per block,
+never as one cone-sized matrix, and the Schur complement A G A' is assembled
+block by block.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -156,39 +161,48 @@ class SdpSolution:
 # -- svec helpers --------------------------------------------------------------
 
 
-def _svec_pairs(d: int) -> list[tuple[int, int]]:
-    return [(i, j) for j in range(d) for i in range(j, d)]
+@functools.lru_cache(maxsize=None)
+def _svec_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row i, column j and scale f of each svec coordinate of a d x d matrix.
+
+    Coordinate k holds f[k] * M[i[k], j[k]]. The order runs down the lower
+    triangle column by column, [(i, j) for j in range(d) for i in range(j, d)],
+    and f is sqrt(2) off the diagonal and 1 on it, so svec(A) @ svec(B) equals
+    trace(A @ B) for symmetric A and B. The arrays are shared and read-only.
+    """
+    j, i = np.triu_indices(d)
+    f = np.where(i == j, 1.0, SQRT2)
+    for a in (i, j, f):
+        a.flags.writeable = False
+    return i, j, f
 
 
 def svec(M: np.ndarray) -> np.ndarray:
-    d = M.shape[0]
-    out = np.empty(d * (d + 1) // 2)
-    for k, (i, j) in enumerate(_svec_pairs(d)):
-        out[k] = M[i, j] * (SQRT2 if i != j else 1.0)
-    return out
+    i, j, f = _svec_index(M.shape[0])
+    return M[i, j] * f
+
 
 def smat(v: np.ndarray, d: int) -> np.ndarray:
-    M = np.zeros((d, d))
-    for k, (i, j) in enumerate(_svec_pairs(d)):
-        if i == j:
-            M[i, i] = v[k]
-        else:
-            M[i, j] = M[j, i] = v[k] / SQRT2
+    i, j, f = _svec_index(d)
+    M = np.empty((d, d))
+    M[i, j] = M[j, i] = v / f
     return M
 
 
 def _symkron(W: np.ndarray) -> np.ndarray:
-    """svec-matrix of the map U -> W U W (symmetric PSD for PSD W)."""
-    d = W.shape[0]
-    pairs = _svec_pairs(d)
-    n = len(pairs)
-    G = np.empty((n, n))
-    for k, (i, j) in enumerate(pairs):
-        if i == j:
-            B = np.outer(W[:, i], W[i, :])
-        else:
-            B = (np.outer(W[:, i], W[j, :]) + np.outer(W[:, j], W[i, :])) / SQRT2
-        G[:, k] = svec((B + B.T) / 2.0)
+    """svec-matrix of the map U -> W U W (symmetric PSD for PSD W).
+
+    Closed form G[a, b] = f_a f_b (W[i_a, i_b] W[j_a, j_b] + W[i_a, j_b] W[j_a, i_b]) / 2.
+    """
+    i, j, f = _svec_index(W.shape[0])
+    Wi, Wj = W[i], W[j]
+    # in place: at d = 30 each term is 465 x 465
+    G = Wi[:, i]
+    G *= Wj[:, j]
+    T = Wi[:, j]
+    T *= Wj[:, i]
+    G += T
+    G *= np.outer(f / 2.0, f)
     return G
 
 
@@ -209,8 +223,9 @@ class _Encoding:
             self.cone_names.append(name)
             self.cone_dims.append(d)
             self.offsets.append(off)
-            for k, (i, j) in enumerate(_svec_pairs(d)):
-                self.block_entry[(name, i, j)] = off + k
+            ii, jj, _ = _svec_index(d)
+            for k, (i, j) in enumerate(zip(ii.tolist(), jj.tolist()), start=off):
+                self.block_entry[(name, i, j)] = k
             off += d * (d + 1) // 2
         self.nonneg_scalars: list[str] = []
         self.free_scalars: list[str] = []
@@ -282,9 +297,8 @@ class _Cone:
     def identity(self) -> np.ndarray:
         e = np.zeros(self.n)
         for d, off in zip(self.dims, self.offsets):
-            for k, (i, j) in enumerate(_svec_pairs(d)):
-                if i == j:
-                    e[off + k] = 1.0
+            i, j, _ = _svec_index(d)
+            e[off : off + i.size] = i == j
         return e
 
     def mats(self, v: np.ndarray) -> list[np.ndarray]:
@@ -297,10 +311,20 @@ class _Cone:
         return worst
 
 
+_trtrs = sla.get_lapack_funcs("trtrs", dtype=np.float64)
+
+
 def _max_step(L: np.ndarray, dM: np.ndarray) -> float:
-    """Largest alpha with chol(M) = L and M + alpha*dM still PSD."""
-    Y = sla.solve_triangular(L, dM, lower=True)
-    Y = sla.solve_triangular(L, Y.T, lower=True)
+    """Largest alpha with chol(M) = L and M + alpha*dM still PSD.
+
+    L is a fresh numpy Cholesky factor (finite, C-ordered) and dM is checked
+    by the caller, so LAPACK's triangular solve is called on the Fortran view
+    L.T directly, as scipy.linalg.solve_triangular does after validation.
+    """
+    Y, info = _trtrs(L.T, dM, lower=0, trans=1)
+    if info:
+        raise np.linalg.LinAlgError("singular Cholesky factor")
+    Y, _ = _trtrs(L.T, Y.T, lower=0, trans=1)
     lam_min = float(np.linalg.eigvalsh((Y + Y.T) / 2.0).min())
     if lam_min >= 0.0:
         return math.inf
@@ -355,6 +379,19 @@ def solve(prob: SdpProblem, opts: SolveOptions | None = None) -> SdpSolution:
         x = result.x
         free_vals = red.recover_free(x)
         values = enc.unpack(x, free_vals)
+        # The core measures the presolved, row-scaled residual against the
+        # largest |rhs|; check_solution measures each equality as posed
+        # against its own rhs. On weakly feasible programs the two can differ
+        # by two orders of magnitude, so FEASIBLE also requires what
+        # solve-then-check promises: each equality within
+        # 10 * feas_tol * max(1, |rhs|).
+        resid = np.abs(A @ x + D @ free_vals - b) / np.maximum(1.0, np.abs(b))
+        worst = float(resid.max(initial=0.0))
+        if worst > 10.0 * opts.feas_tol:
+            return SdpSolution(
+                SdpStatus.MARGINAL, values, result.gap, result.iterations,
+                message=f"presolved system converged, but an equality is off by {worst:.1e} relative",
+            )
         obj = None
         if prob.objective is not None:
             obj = float(red.c_orig_cone @ x + red.c_free @ free_vals)
@@ -397,7 +434,6 @@ class _FreeReduction:
         self.c_orig_cone = c.copy()
         self.c_free = c_free.copy()
         self.unbounded = False
-        self.pre_ray: np.ndarray | None = None
 
         if self.nfree > 0 and self.m_all > 0:
             Q, R, piv = sla.qr(D, mode="full", pivoting=True)
@@ -595,13 +631,15 @@ class _HsdCore:
                     SdpStatus.MARGINAL, x / tau, self._unscale_y(y / tau), s / tau,
                     mu, it, message="scaling factorization failed",
                 )
-            G = self._blockdiag_G(scal)
 
             r_p = A @ x - b * tau
             r_d = -A.T @ y + c * tau - s
             r_g = float(b @ y - c @ x) - kappa
 
-            AG = A @ G
+            # Schur complement A G A' with G = diag(G_b), assembled per block
+            AG = np.empty_like(A)
+            for sc in scal:
+                AG[:, sc["q"]] = A[:, sc["q"]] @ sc["G"]
             M = AG @ A.T
             try:
                 Mf = self._factor(M)
@@ -612,7 +650,7 @@ class _HsdCore:
                 )
             AGc = AG @ c
             u1 = Mf(AGc + b)
-            Gc = G @ c
+            Gc = self._apply_G(scal, c)
             cGc = float(c @ Gc)
 
             def direction(gamma, ex, tg):
@@ -630,27 +668,32 @@ class _HsdCore:
                 dtau = num / den
                 dy = u1 * dtau + u2
                 ds = -A.T @ dy + c * dtau + eta * r_d
-                dx = ex - G @ ds
+                dx = ex - self._apply_G(scal, ds)
                 dkap = (tg - kappa * dtau) / tau
                 return dx, dy, ds, dtau, dkap
 
-            # predictor (affine scaling)
-            ex_aff = self._ex(scal, gamma_mu=0.0, corr=None)
-            dxa, dya, dsa, dtaua, dkapa = direction(0.0, ex_aff, -tau * kappa)
-            alpha_aff = self._step_length(scal, x, s, dxa, dsa, tau, kappa, dtaua, dkapa)
-            mu_aff = (
-                (x + alpha_aff * dxa) @ (s + alpha_aff * dsa)
-                + (tau + alpha_aff * dtaua) * (kappa + alpha_aff * dkapa)
-            ) / nu
-            gamma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
+            try:
+                # predictor (affine scaling)
+                ex_aff = self._ex(scal, gamma_mu=0.0, corr=None)
+                dxa, dya, dsa, dtaua, dkapa = direction(0.0, ex_aff, -tau * kappa)
+                alpha_aff = self._step_length(scal, dxa, dsa, tau, kappa, dtaua, dkapa)
+                mu_aff = (
+                    (x + alpha_aff * dxa) @ (s + alpha_aff * dsa)
+                    + (tau + alpha_aff * dtaua) * (kappa + alpha_aff * dkapa)
+                ) / nu
+                gamma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
-            # corrector
-            corr = self._second_order(scal, dxa, dsa)
-            ex = self._ex(scal, gamma_mu=gamma * mu, corr=corr)
-            tg = gamma * mu - tau * kappa - dtaua * dkapa
-            dx, dy, ds, dtau, dkap = direction(gamma, ex, tg)
-
-            alpha = 0.98 * self._step_length(scal, x, s, dx, ds, tau, kappa, dtau, dkap)
+                # corrector
+                corr = self._second_order(scal, dxa, dsa)
+                ex = self._ex(scal, gamma_mu=gamma * mu, corr=corr)
+                tg = gamma * mu - tau * kappa - dtaua * dkapa
+                dx, dy, ds, dtau, dkap = direction(gamma, ex, tg)
+                alpha = 0.98 * self._step_length(scal, dx, ds, tau, kappa, dtau, dkap)
+            except np.linalg.LinAlgError as exc:
+                return _CoreResult(
+                    SdpStatus.MARGINAL, x / tau, self._unscale_y(y / tau), s / tau,
+                    mu, it, message=f"step length failed: {exc}",
+                )
             alpha = min(1.0, alpha)
             if alpha < 1e-10:
                 stall += 1
@@ -719,23 +762,25 @@ class _HsdCore:
             sig = np.maximum(sig, 1e-300)
             R = L1 @ Vt.T / np.sqrt(sig)
             Rinv = (np.sqrt(sig)[:, None] * Vt) @ np.linalg.inv(L1)
-            out.append({"d": d, "off": off, "R": R, "Rinv": Rinv, "lam": sig, "L1": L1, "L2": L2})
+            out.append({
+                "d": d, "q": slice(off, off + xb.size), "R": R, "Rinv": Rinv,
+                "lam": sig, "L1": L1, "L2": L2, "G": _symkron(R @ R.T),
+            })
         return out
 
-    def _blockdiag_G(self, scal) -> np.ndarray:
-        G = np.zeros((self.cone.n, self.cone.n))
+    @staticmethod
+    def _apply_G(scal, v: np.ndarray) -> np.ndarray:
+        """G v for the block-diagonal scaling G = diag(G_b)."""
+        out = np.empty_like(v)
         for sc in scal:
-            d, off = sc["d"], sc["off"]
-            n = d * (d + 1) // 2
-            W = sc["R"] @ sc["R"].T
-            G[off : off + n, off : off + n] = _symkron(W)
-        return G
+            out[sc["q"]] = sc["G"] @ v[sc["q"]]
+        return out
 
     def _ex(self, scal, gamma_mu: float, corr) -> np.ndarray:
         """svec(R E R^T) per block, E from the linearized complementarity."""
         ex = np.zeros(self.cone.n)
         for bi, sc in enumerate(scal):
-            d, off, lam, R = sc["d"], sc["off"], sc["lam"], sc["R"]
+            d, lam, R = sc["d"], sc["lam"], sc["R"]
             T = -np.diag(lam * lam)
             if gamma_mu:
                 T = T + gamma_mu * np.eye(d)
@@ -743,33 +788,29 @@ class _HsdCore:
                 T = T - corr[bi]
             denom = (lam[:, None] + lam[None, :]) / 2.0
             E = T / denom
-            n = d * (d + 1) // 2
-            ex[off : off + n] = svec(R @ E @ R.T)
+            ex[sc["q"]] = svec(R @ E @ R.T)
         return ex
 
     def _second_order(self, scal, dx, ds):
         """Mehrotra correction H(dX~ dS~) per block, in scaled coordinates."""
         out = []
         for sc in scal:
-            d, off = sc["d"], sc["off"]
-            n = d * (d + 1) // 2
-            dX = smat(dx[off : off + n], d)
-            dS = smat(ds[off : off + n], d)
-            dXt = sc["Rinv"] @ dX @ sc["Rinv"].T
-            dSt = sc["R"].T @ dS @ sc["R"]
+            d, q = sc["d"], sc["q"]
+            dXt = sc["Rinv"] @ smat(dx[q], d) @ sc["Rinv"].T
+            dSt = sc["R"].T @ smat(ds[q], d) @ sc["R"]
             P = dXt @ dSt
             out.append((P + P.T) / 2.0)
         return out
 
-    def _step_length(self, scal, x, s, dx, ds, tau, kappa, dtau, dkap) -> float:
+    def _step_length(self, scal, dx, ds, tau, kappa, dtau, dkap) -> float:
+        if not (math.isfinite(dtau) and math.isfinite(dkap)
+                and np.isfinite(dx).all() and np.isfinite(ds).all()):
+            raise np.linalg.LinAlgError("non-finite search direction")
         alpha = math.inf
         for sc in scal:
-            d, off = sc["d"], sc["off"]
-            n = d * (d + 1) // 2
-            dX = smat(dx[off : off + n], d)
-            dS = smat(ds[off : off + n], d)
-            alpha = min(alpha, _max_step(sc["L1"], dX))
-            alpha = min(alpha, _max_step(sc["L2"], dS))
+            d, q = sc["d"], sc["q"]
+            alpha = min(alpha, _max_step(sc["L1"], smat(dx[q], d)))
+            alpha = min(alpha, _max_step(sc["L2"], smat(ds[q], d)))
         if dtau < 0:
             alpha = min(alpha, -tau / dtau)
         if dkap < 0:

@@ -56,6 +56,11 @@ class SimConfig:
     rk45_atol: float = 1e-12
 
     def __post_init__(self):
+        self.x0 = np.asarray(self.x0, dtype=float)
+        self.xhat0 = np.asarray(self.xhat0, dtype=float)
+        for name in ("dt", "T", "noise_std", "x0", "xhat0"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if self.dt <= 0 or self.T <= 0:
             raise ValueError("dt and T must be positive")
         if self.T < self.dt:
@@ -66,8 +71,6 @@ class SimConfig:
             raise ValueError("noise_std must be >= 0")
         if self.rk45_rtol <= 0 or self.rk45_atol <= 0:
             raise ValueError("RK45 tolerances must be positive")
-        self.x0 = np.asarray(self.x0, dtype=float)
-        self.xhat0 = np.asarray(self.xhat0, dtype=float)
 
     @property
     def nsteps(self) -> int:

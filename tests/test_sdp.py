@@ -1,18 +1,98 @@
 """Embedded SDP solver: analytic fixtures, random feasible instances, certificates."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ccm import sdp
 from ccm.sdp import (
     SdpError,
     SdpProblem,
     SdpStatus,
     SolveOptions,
+    _symkron,
     check_solution,
     problem_from_text,
     problem_to_text,
+    smat,
     solve,
+    svec,
 )
+
+
+# -- svec / smat / symmetric Kronecker product ------------------------------------
+
+
+def test_svec_order_and_scaling():
+    M = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
+    r2 = np.sqrt(2.0)
+    np.testing.assert_array_equal(svec(M), [1.0, 2.0 * r2, 3.0 * r2, 4.0, 5.0 * r2, 6.0])
+
+
+def _random_symmetric(rng, d):
+    F = rng.normal(size=(d, d))
+    return (F + F.T) / 2.0
+
+
+# loop references: one svec coordinate / one symmetric Kronecker column at a time
+def _pairs(d):
+    return [(i, j) for j in range(d) for i in range(j, d)]
+
+
+def _svec_loop(M):
+    return np.array([M[i, j] * (np.sqrt(2.0) if i != j else 1.0) for i, j in _pairs(M.shape[0])])
+
+
+def _smat_loop(v, d):
+    M = np.zeros((d, d))
+    for k, (i, j) in enumerate(_pairs(d)):
+        M[i, j] = M[j, i] = v[k] if i == j else v[k] / np.sqrt(2.0)
+    return M
+
+
+def _symkron_loop(W):
+    cols = []
+    for i, j in _pairs(W.shape[0]):
+        if i == j:
+            B = np.outer(W[:, i], W[i, :])
+        else:
+            B = (np.outer(W[:, i], W[j, :]) + np.outer(W[:, j], W[i, :])) / np.sqrt(2.0)
+        cols.append(_svec_loop((B + B.T) / 2.0))
+    return np.array(cols).T
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_svec_smat_symkron_identities(d, seed):
+    rng = np.random.default_rng(seed)
+    A, B, U = (_random_symmetric(rng, d) for _ in range(3))
+    F = rng.normal(size=(d, d))
+    W = F @ F.T
+    # same arithmetic as the loops for svec/smat; _symkron sums in another order
+    np.testing.assert_array_equal(svec(A), _svec_loop(A))
+    np.testing.assert_array_equal(smat(svec(A), d), _smat_loop(svec(A), d))
+    G = _symkron(W)
+    np.testing.assert_allclose(G, _symkron_loop(W), rtol=0.0, atol=8 * np.finfo(float).eps * np.abs(G).max())
+    # svec/smat invert each other up to the rounding of the sqrt(2) scaling
+    np.testing.assert_allclose(smat(svec(A), d), A, rtol=1e-15, atol=0.0)
+    # svec is an isometry: the Euclidean product is the trace inner product
+    scale = d * np.abs(A).max() * np.abs(B).max()
+    assert svec(A) @ svec(B) == pytest.approx(np.trace(A @ B), abs=1e-13 * scale)
+    # the symmetric Kronecker product represents U -> W U W
+    np.testing.assert_allclose(
+        smat(G @ svec(U), d), W @ U @ W,
+        rtol=0.0, atol=1e-13 * d * np.abs(W).max() ** 2 * np.abs(U).max(),
+    )
+
+
+def test_non_finite_search_direction_is_marginal(monkeypatch):
+    # a Schur solve that returns NaN must end the solve with a message
+    monkeypatch.setattr(sdp._HsdCore, "_factor", lambda self, M: lambda v: np.full_like(v, np.nan))
+    sol = solve(trace_min_problem())
+    assert sol.status is SdpStatus.MARGINAL
+    assert "non-finite" in sol.message
 
 
 def trace_min_problem():
@@ -144,6 +224,15 @@ def test_gap_below_tolerance_at_termination():
     opts = SolveOptions()
     sol = solve(trace_min_problem(), opts)
     assert sol.gap <= opts.gap_tol
+
+
+def test_feasible_holds_for_each_equality_as_posed():
+    # solve-then-check at 10x tol must hold even where the presolved residual
+    # passes and the posed equalities do not; such a program is inconclusive
+    text = (Path(__file__).parent / "data" / "weakly_feasible_observer.sdp").read_text()
+    sol = solve(problem_from_text(text))
+    assert sol.status is SdpStatus.MARGINAL
+    assert "equality is off" in sol.message
 
 
 def test_deterministic_repeat():

@@ -275,3 +275,8 @@ def test_simconfig_validation():
         SimConfig(integrator="euler")
     with pytest.raises(ValueError):
         SimConfig(noise_std=-0.1)
+    for bad in ({"dt": np.nan}, {"T": np.nan}, {"T": np.inf},
+                {"noise_std": np.nan}, {"x0": [0.0, np.nan]},
+                {"xhat0": [np.inf, 0.0]}):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(**bad)
