@@ -11,17 +11,13 @@ Module map:
     sos      SOS constraint compilation and Gram certificates
     synth    controller/observer metric synthesis + pointwise verification
     geom     constant-metric distances and measurement-set projection
-    realize  executable control/observer laws, ISS bound curves
-    sim      RK4/RK45 simulation of the three loop modes, CSV traces
+    realize  executable control/observer laws, ISS constants and envelope
+    sim      one closed-loop core (open / state / output feedback), one RK4
+             loop (RK45 for cross-checks), ISS bound integration, CSV traces
     cli      `ccm` command line (synthesize / verify / simulate / report)
 """
 
-from .geom import (
-    GeodesicSegment,
-    MeasurementProjector,
-    distance,
-    project_to_measurement,
-)
+from .geom import MeasurementProjector, distance
 from .poly import (
     Polynomial,
     PolyMatrix,
@@ -30,7 +26,7 @@ from .poly import (
     poly_from_text,
     poly_to_text,
 )
-from .realize import ControlLaw, ObserverLaw, control, iss_bound, observer_rhs
+from .realize import ControlLaw, ObserverLaw
 from .sdp import (
     SdpProblem,
     SdpSolution,
@@ -43,6 +39,7 @@ from .sim import (
     SimConfig,
     SimTrace,
     decay_rate,
+    iss_bound,
     limit_cycle_state,
     moore_greitzer,
     overshoot,
@@ -65,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ControlLaw",
     "ControllerMetric",
-    "GeodesicSegment",
     "MeasurementProjector",
     "ObserverLaw",
     "ObserverMetric",
@@ -83,7 +79,6 @@ __all__ = [
     "SystemModel",
     "check_certificate",
     "check_solution",
-    "control",
     "decay_rate",
     "distance",
     "gram_basis",
@@ -93,11 +88,9 @@ __all__ = [
     "limit_cycle_state",
     "line_integral_unit",
     "moore_greitzer",
-    "observer_rhs",
     "overshoot",
     "poly_from_text",
     "poly_to_text",
-    "project_to_measurement",
     "run_open_loop",
     "run_output_feedback",
     "run_state_feedback",

@@ -29,7 +29,7 @@ unknown sections or keys are rejected):
     dir = out
 
 Exit codes: 0 success/feasible, 2 infeasible (or verification failure),
-3 solver inconclusive, 1 usage/config error.
+3 solver inconclusive, 1 usage/config error or simulation failure.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .realize import ControlLaw, ObserverLaw, kappa_candidates
 from .sim import (
     SimConfig,
     SimTrace,
+    SimulationError,
     limit_cycle_state,
     moore_greitzer,
     run_open_loop,
@@ -630,6 +631,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except SimulationError as exc:
+        print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

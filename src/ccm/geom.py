@@ -13,8 +13,6 @@ factored densely with partial pivoting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg as sla
 
@@ -47,27 +45,12 @@ def distance(x1, x2, M) -> float:
     return float(np.sqrt(max(d @ M @ d, 0.0)))
 
 
-@dataclass(frozen=True)
-class GeodesicSegment:
-    """Straight-line geodesic between two points under a constant metric."""
-
-    start: np.ndarray
-    end: np.ndarray
-    metric: np.ndarray
-
-    def length(self) -> float:
-        return distance(self.start, self.end, self.metric)
-
-    def point(self, s: float) -> np.ndarray:
-        return np.asarray(self.start) + s * (np.asarray(self.end) - np.asarray(self.start))
-
-
 class MeasurementProjector:
     """Reusable projector onto {x : C x = y} in the W-weighted norm.
 
-    Factors the KKT matrix once (LU with partial pivoting); each projection
-    is then a pair of triangular solves. Use `project_to_measurement` for
-    one-shot calls.
+    Factors the KKT matrix once (LU with partial pivoting) and keeps the
+    two affine maps of its solution, so each projection is two small
+    matrix-vector products.
     """
 
     def __init__(self, C: np.ndarray, W: np.ndarray):
@@ -98,8 +81,3 @@ class MeasurementProjector:
         if x_hat.shape != (self.n,) or y.shape != (self.p,):
             raise ValueError("projection input dimensions do not match C/W")
         return self._from_xhat @ x_hat + self._from_y @ y
-
-
-def project_to_measurement(x_hat, C, y, W_o) -> np.ndarray:
-    """Closest point to x_hat (in the W_o norm) with C x = y."""
-    return MeasurementProjector(C, W_o).project(x_hat, y)

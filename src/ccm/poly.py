@@ -88,13 +88,6 @@ class Polynomial:
             return -1
         return max(sum(m) for m in self._terms)
 
-    def degree_in(self, indices) -> int:
-        """Max combined degree over a subset of variables; -1 if zero."""
-        if not self._terms:
-            return -1
-        idx = list(indices)
-        return max(sum(m[i] for i in idx) for m in self._terms)
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -233,20 +226,24 @@ class Polynomial:
             out += v
         return out
 
-    def as_function(self):
-        """Compile to a plain-Python scalar function of nvars floats.
-
-        Fast path for tight simulation loops; identical values to __call__.
-        """
-        names = [f"v{i}" for i in range(self.nvars)]
+    def _source(self, names: list[str]) -> str:
+        """The polynomial as a Python expression in the variable names."""
         parts = []
         for mono, c in self.sorted_terms():
             factors = [repr(c)]
             for j, e in enumerate(mono):
                 factors.extend([names[j]] * e)
             parts.append("*".join(factors))
-        body = " + ".join(parts) if parts else "0.0"
-        src = f"def _poly({', '.join(names)}):\n    return {body}\n"
+        return " + ".join(parts) if parts else "0.0"
+
+    def as_function(self):
+        """Compile to a plain-Python scalar function of nvars floats.
+
+        Fast path for tight simulation loops. Powers are expanded into
+        repeated products, so values agree with __call__ to rounding.
+        """
+        names = [f"v{i}" for i in range(self.nvars)]
+        src = f"def _poly({', '.join(names)}):\n    return {self._source(names)}\n"
         ns: dict = {}
         exec(src, ns)  # noqa: S102 - generated from numeric literals only
         return ns["_poly"]
@@ -286,19 +283,7 @@ class Polynomial:
         return result
 
 
-# -- module-level operations (functional API) ------------------------------
-
-
-def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def evaluate(p: Polynomial, point) -> float:
-    return p(point)
+# -- line integrals ------------------------------------------------------------
 
 
 def line_integral_unit(p: Polynomial, a, b) -> float:
@@ -395,6 +380,19 @@ class PolyMatrix:
     def transpose(self) -> "PolyMatrix":
         ent = [[self._entries[j][i] for j in range(self.rows)] for i in range(self.cols)]
         return PolyMatrix(self.nvars, self.cols, self.rows, ent, symmetric=self.symmetric)
+
+    def as_function(self):
+        """Compile a column to one function x -> (rows,) array whose entries
+        are the expressions of Polynomial.as_function (the same values)."""
+        if self.cols != 1:
+            raise ValueError("only a column compiles to a vector function")
+        names = [f"v{i}" for i in range(self.nvars)]
+        rows = ", ".join(self.entry(i, 0)._source(names) for i in range(self.rows))
+        unpack = f"    {', '.join(names)}, = x\n" if names else ""
+        src = f"def _column(x):\n{unpack}    return _array([{rows}])\n"
+        ns: dict = {"_array": np.array}
+        exec(src, ns)  # noqa: S102 - generated from numeric literals only
+        return ns["_column"]
 
     def eval(self, point) -> np.ndarray:
         out = np.empty((self.rows, self.cols))

@@ -11,7 +11,9 @@ are explicit:
 
 The one-dimensional rho integrals are polynomials in (start, offset) and
 are precompiled at law construction; evaluation agrees exactly with
-poly.line_integral_unit.
+poly.line_integral_unit. The ISS disturbance gains (kappa_candidates) and
+the closed-form two-exponential envelope live here too; the bound ODE
+itself is integrated in sim (iss_bound), with the loop's RK4 step.
 """
 
 from __future__ import annotations
@@ -43,44 +45,31 @@ ISS_KAPPA_KEY = "inv_sqrt_alpha1"
 
 
 class ControlLaw:
-    """State(-estimate) feedback around a target trajectory.
-
-    The target is a constant feasible pair (x*, u*) by default (the origin);
-    a callable t -> (x*, u*) is accepted for sampled reference tables but is
-    validated and exercised only in the constant case.
-    """
+    """State(-estimate) feedback around a constant feasible target (x*, u*),
+    the origin by default."""
 
     def __init__(self, metric: ControllerMetric, model: SystemModel,
-                 x_star=None, u_star=None, target_fn=None, tol: float = 1e-8):
+                 x_star=None, u_star=None, tol: float = 1e-8):
         if not isinstance(metric, ControllerMetric):
             raise TypeError("ControlLaw needs a ControllerMetric")
         self.metric = metric
         self.model = model
-        self.target_fn = target_fn
         n, m = model.n, model.m
         self.x_star = np.zeros(n) if x_star is None else np.asarray(x_star, float)
         self.u_star = np.zeros(m) if u_star is None else np.asarray(u_star, float)
-        if target_fn is None:
-            resid = model.f_value(self.x_star) + model.B @ self.u_star
-            if np.abs(resid).max() > tol:
-                raise ValueError(
-                    f"target is not an equilibrium: |f(x*) + B u*| = {np.abs(resid).max():.3e}"
-                )
+        resid = model.f_value(self.x_star) + model.B @ self.u_star
+        if np.abs(resid).max() > tol:
+            raise ValueError(
+                f"target is not an equilibrium: |f(x*) + B u*| = {np.abs(resid).max():.3e}"
+            )
         self._gain = model.B.T @ metric.M  # (m, n)
         self._rho_int = line_integral_form(metric.rho).as_function()
 
-    def target(self, t: float):
-        if self.target_fn is not None:
-            xs, us = self.target_fn(t)
-            return np.asarray(xs, float), np.asarray(us, float)
-        return self.x_star, self.u_star
-
     def control(self, x_hat, t: float = 0.0) -> np.ndarray:
         x_hat = np.asarray(x_hat, dtype=float)
-        xs, us = self.target(t)
-        dc = xs - x_hat
+        dc = self.x_star - x_hat
         r = self._rho_int(*x_hat, *dc)
-        return us + (0.5 * r) * (self._gain @ dc)
+        return self.u_star + (0.5 * r) * (self._gain @ dc)
 
 
 class ObserverLaw:
@@ -94,10 +83,6 @@ class ObserverLaw:
         self.projector = MeasurementProjector(model.C, metric.W)
         self._winv_ct = np.linalg.solve(metric.W, model.C.T)  # (n, p)
         self._rho_int = line_integral_form(metric.rho).as_function()
-        self._f = [model.f.entry(i, 0).as_function() for i in range(model.n)]
-
-    def f_value(self, x) -> np.ndarray:
-        return np.array([fi(*x) for fi in self._f])
 
     def rhs(self, x_hat, y, t: float = 0.0, u=None) -> np.ndarray:
         """Estimate dynamics. u is the known applied plant input; it enters
@@ -108,18 +93,10 @@ class ObserverLaw:
         do = x_hat - xbar
         r = self._rho_int(*xbar, *do)
         innov = y - self.model.C @ x_hat
-        drift = self.f_value(x_hat)
+        drift = self.model.f_value(x_hat)
         if u is not None:
             drift = drift + self.model.B @ np.atleast_1d(np.asarray(u, dtype=float))
         return drift + (0.5 * r) * (self._winv_ct @ innov)
-
-
-def control(law: ControlLaw, x_hat, t: float = 0.0) -> np.ndarray:
-    return law.control(x_hat, t)
-
-
-def observer_rhs(law: ObserverLaw, x_hat, y, t: float = 0.0, u=None) -> np.ndarray:
-    return law.rhs(x_hat, y, t, u)
 
 
 def control_reference(law: ControlLaw, x_hat, t: float = 0.0) -> np.ndarray:
@@ -128,41 +105,9 @@ def control_reference(law: ControlLaw, x_hat, t: float = 0.0) -> np.ndarray:
     Same value as law.control; used to cross-check the precompiled path.
     """
     x_hat = np.asarray(x_hat, dtype=float)
-    xs, us = law.target(t)
-    dc = xs - x_hat
+    dc = law.x_star - x_hat
     r = line_integral_unit(law.metric.rho, x_hat, dc)
-    return us + (0.5 * r) * (law.model.B.T @ law.metric.M @ dc)
-
-
-# -- ISS bound ------------------------------------------------------------------
-
-
-def iss_bound(metric: ControllerMetric, d0: float, disturbance_env, T: float,
-              dt: float = 1e-3) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the disturbance bound  ddot = -lam*d + kappa*env(t).
-
-    env gives the Euclidean disturbance magnitude; kappa = 1/sqrt(alpha1)
-    converts it to metric units. Returns (t, d_bound) on the fixed grid.
-    """
-    if T <= 0:
-        raise ValueError("horizon must be positive")
-    kappa = kappa_candidates(metric)[ISS_KAPPA_KEY]
-    lam = metric.lam
-    nsteps = int(math.floor(T / dt + 1e-9))
-    ts = np.arange(nsteps + 1) * dt
-    d = np.empty(nsteps + 1)
-    d[0] = d0
-    rhs = lambda t, v: -lam * v + kappa * float(disturbance_env(t))
-    v = float(d0)
-    for k in range(nsteps):
-        t = ts[k]
-        k1 = rhs(t, v)
-        k2 = rhs(t + dt / 2, v + dt / 2 * k1)
-        k3 = rhs(t + dt / 2, v + dt / 2 * k2)
-        k4 = rhs(t + dt, v + dt * k3)
-        v += dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        d[k + 1] = v
-    return ts, d
+    return law.u_star + (0.5 * r) * (law.model.B.T @ law.metric.M @ dc)
 
 
 def two_exponential_bound(d0: float, lam: float, log_amp: float, alpha: float,

@@ -740,12 +740,16 @@ class _HsdCore:
         return max(0.0, -self.cone.min_eig(z))
 
     def _factor(self, M: np.ndarray):
+        # checked here rather than by cho_factor, whose check raises a
+        # ValueError: a non-finite M is a failed factorization (MARGINAL)
+        if not np.isfinite(M).all():
+            raise np.linalg.LinAlgError("Schur complement not finite")
         m = M.shape[0]
         jitter = 0.0
         base = np.trace(M) / max(m, 1)
         for attempt in range(4):
             try:
-                cf = sla.cho_factor(M + jitter * np.eye(m), lower=True)
+                cf = sla.cho_factor(M + jitter * np.eye(m), lower=True, check_finite=False)
                 return lambda v: sla.cho_solve(cf, v)
             except np.linalg.LinAlgError:
                 jitter = max(base * 1e-14, jitter * 100.0, 1e-14)

@@ -1,11 +1,19 @@
 """Closed-loop simulation: open loop, state feedback, output feedback.
 
+The three loop modes are one loop with parts switched off (the separation
+principle): plant + observer + controller for output feedback, the
+controller fed the true state for state feedback, u = 0 for the open loop.
+One run core builds the vector field and the trace for all three, and
+`integrate` is the one RK4 loop; the plant's f is the model's compiled
+`SystemModel.f_value`.
+
 Fixed-step classical RK4 is the default integrator (reproducibility over
 adaptivity); an adaptive RK45 backend is available for cross-checking on
-noise-free runs. Measurement noise is discrete-time: one Gaussian draw per
-output step, held constant across the RK4 stages of that step and added to
-the continuous measurement C x(t), so a noise-free observer started at the
-plant state tracks it exactly.
+noise-free runs. Measurement noise (output feedback only) is discrete-time:
+one Gaussian draw per output step, passed to `integrate` as data, held
+constant across the RK4 stages of that step and added to the continuous
+measurement C x(t), so a noise-free observer started at the plant state
+tracks it exactly.
 
 Each trace records the Riemannian distance to the target under the
 controller metric and a theoretical bound curve:
@@ -14,8 +22,8 @@ controller metric and a theoretical bound curve:
 * output feedback without noise: the two-exponential envelope obtained by
   bounding the measured feedback-mismatch disturbance by beta*exp(-alpha t)
   (alpha fitted to the estimation-error decay, beta chosen to majorize);
-* output feedback with noise: the disturbance-bound ODE integrated with the
-  measured disturbance magnitude.
+* output feedback with noise: the disturbance-bound ODE (`iss_bound`)
+  integrated with the measured disturbance magnitude.
 """
 
 from __future__ import annotations
@@ -32,11 +40,10 @@ from .realize import (
     ControlLaw,
     ISS_KAPPA_KEY,
     ObserverLaw,
-    iss_bound,
     kappa_candidates,
     two_exponential_bound,
 )
-from .synth import SystemModel
+from .synth import ControllerMetric, SystemModel
 
 
 class SimulationError(RuntimeError):
@@ -188,23 +195,27 @@ def limit_cycle_state(dt: float = 1e-3, settle: float = 30.0) -> np.ndarray:
 # -- integration -----------------------------------------------------------------
 
 
-def _rk4_step(rhs, t, z, dt):
-    k1 = rhs(t, z)
-    k2 = rhs(t + dt / 2, z + (dt / 2) * k1)
-    k3 = rhs(t + dt / 2, z + (dt / 2) * k2)
-    k4 = rhs(t + dt, z + dt * k3)
+def _rk4_step(rhs, t, z, dt, *args):
+    k1 = rhs(t, z, *args)
+    k2 = rhs(t + dt / 2, z + (dt / 2) * k1, *args)
+    k3 = rhs(t + dt / 2, z + (dt / 2) * k2, *args)
+    k4 = rhs(t + dt, z + dt * k3, *args)
     return z + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def integrate(rhs, x0, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+def integrate(rhs, x0, cfg: SimConfig, noise=None) -> tuple[np.ndarray, np.ndarray]:
     """Integrate xdot = rhs(t, x) on the fixed output grid of cfg.
 
     Returns (t, states) with states[k] at t[k]; fixed-step RK4 or adaptive
     RK45 (dense output sampled on the grid). Aborts on non-finite states.
+    With noise (RK4 only), one row per step: every stage of step k calls
+    rhs(t, x, noise[k]).
     """
     ts = cfg.time_grid()
     x0 = np.asarray(x0, dtype=float)
     if cfg.integrator == "rk45":
+        if noise is not None:
+            raise ValueError("noise injection requires the fixed-step rk4 integrator")
         sol = solve_ivp(
             rhs, (0.0, cfg.T), x0, method="RK45", t_eval=ts,
             rtol=cfg.rk45_rtol, atol=cfg.rk45_atol,
@@ -219,7 +230,8 @@ def integrate(rhs, x0, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     states[0] = x0
     z = x0.copy()
     for k in range(cfg.nsteps):
-        z = _rk4_step(rhs, ts[k], z, cfg.dt)
+        args = () if noise is None else (noise[k],)
+        z = _rk4_step(rhs, ts[k], z, cfg.dt, *args)
         if not np.isfinite(z).all():
             raise SimulationError(
                 f"non-finite state at t={ts[k + 1]:.6g}: {z}"
@@ -233,105 +245,100 @@ def integrate(rhs, x0, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def run_open_loop(model: SystemModel, cfg: SimConfig) -> SimTrace:
     """u = 0 throughout; distances are Euclidean (no metric exists here)."""
-    fs = [model.f.entry(i, 0).as_function() for i in range(model.n)]
-
-    def rhs(t, z):
-        return np.array([fi(*z) for fi in fs])
-
-    ts, xs = integrate(rhs, cfg.x0, cfg)
-    N = len(ts)
-    y_clean = xs @ model.C.T
-    d = np.linalg.norm(xs, axis=1)
-    return SimTrace(
-        t=ts, x=xs, x_hat=xs.copy(),
-        u=np.zeros((N, model.m)), y=y_clean.copy(), y_clean=y_clean,
-        d=d, d_bound=np.zeros(N), est_err=np.zeros(N), mode="open",
-    )
+    return _run(model, cfg)
 
 
 def run_state_feedback(model: SystemModel, claw: ControlLaw, cfg: SimConfig) -> SimTrace:
-    fs = [model.f.entry(i, 0).as_function() for i in range(model.n)]
-    B = model.B
-
-    def rhs(t, z):
-        u = claw.control(z, t)
-        return np.array([fi(*z) for fi in fs]) + B @ u
-
-    ts, xs = integrate(rhs, cfg.x0, cfg)
-    N = len(ts)
-    u_rec = np.stack([claw.control(xs[k], ts[k]) for k in range(N)])
-    y_clean = xs @ model.C.T
-    M = claw.metric.M
-    xstar = np.stack([claw.target(t)[0] for t in ts])
-    diff = xs - xstar
-    d = np.sqrt(np.maximum(np.einsum("ki,ij,kj->k", diff, M, diff), 0.0))
-    d_bound = d[0] * np.exp(-claw.metric.lam * ts)
-    return SimTrace(
-        t=ts, x=xs, x_hat=xs.copy(), u=u_rec, y=y_clean.copy(), y_clean=y_clean,
-        d=d, d_bound=d_bound, est_err=np.zeros(N), mode="state_fb",
-    )
+    return _run(model, cfg, claw)
 
 
 def run_output_feedback(
     model: SystemModel, claw: ControlLaw, olaw: ObserverLaw, cfg: SimConfig
 ) -> SimTrace:
     """Plant + observer + controller; y = C x + noise (per-step Gaussian)."""
-    n = model.n
-    fs = [model.f.entry(i, 0).as_function() for i in range(n)]
-    B, C = model.B, model.C
-    sigma = cfg.noise_std
-    if sigma > 0 and cfg.integrator != "rk4":
-        raise ValueError("noise injection requires the fixed-step rk4 integrator")
+    return _run(model, cfg, claw, olaw)
 
-    rng = np.random.default_rng(cfg.seed)
-    N = cfg.nsteps
-    xi = rng.standard_normal((N + 1, model.p))
 
-    def make_rhs(noise_vec):
-        def rhs(t, z):
-            x, xh = z[:n], z[n:]
-            u = claw.control(xh, t)
-            y = C @ x + sigma * noise_vec
-            dx = np.array([fi(*x) for fi in fs]) + B @ u
-            dxh = olaw.rhs(xh, y, t, u)
-            return np.concatenate([dx, dxh])
+def _metric_norm(diff: np.ndarray, M: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.maximum(np.einsum("ki,ij,kj->k", diff, M, diff), 0.0))
 
-        return rhs
 
-    ts = cfg.time_grid()
-    if sigma == 0 and cfg.integrator == "rk45":
-        ts, zs = integrate(make_rhs(np.zeros(model.p)), np.concatenate([cfg.x0, cfg.xhat0]), cfg)
+def _run(model: SystemModel, cfg: SimConfig, claw: ControlLaw | None = None,
+         olaw: ObserverLaw | None = None) -> SimTrace:
+    """Plant + observer + controller, with the observer switched off for
+    state feedback (the controller reads x) and both laws for the open loop."""
+    n, B, C, f = model.n, model.B, model.C, model.f_value
+    z0, noise, sigma = cfg.x0, None, 0.0
+    if olaw is not None:
+        sigma = cfg.noise_std
+        if sigma > 0 and cfg.integrator != "rk4":
+            raise ValueError("noise injection requires the fixed-step rk4 integrator")
+        xi = np.random.default_rng(cfg.seed).standard_normal((cfg.nsteps + 1, model.p))
+        z0 = np.concatenate([cfg.x0, cfg.xhat0])
+        if cfg.integrator == "rk4":
+            noise = xi
+
+    def rhs(t, z, w=np.zeros(model.p)):
+        if claw is None:
+            return f(z)
+        if olaw is None:
+            return f(z) + B @ claw.control(z, t)
+        x, xh = z[:n], z[n:]
+        u = claw.control(xh, t)
+        y = C @ x + sigma * w
+        return np.concatenate([f(x) + B @ u, olaw.rhs(xh, y, t, u)])
+
+    ts, zs = integrate(rhs, z0, cfg, noise)
+    N = len(ts)
+    xs = zs[:, :n]
+    if claw is None:
+        d = np.linalg.norm(xs, axis=1)
     else:
-        zs = np.empty((N + 1, 2 * n))
-        z = np.concatenate([cfg.x0, cfg.xhat0])
-        zs[0] = z
-        dt = cfg.dt
-        for k in range(N):
-            z = _rk4_step(make_rhs(xi[k]), ts[k], z, dt)
-            if not np.isfinite(z).all():
-                raise SimulationError(f"non-finite state at t={ts[k + 1]:.6g}")
-            zs[k + 1] = z
-    xs, xhs = zs[:, :n], zs[:, n:]
+        d = _metric_norm(xs - claw.x_star, claw.metric.M)
     y_clean = xs @ C.T
-    ys = y_clean + sigma * xi
-    u_rec = np.stack([claw.control(xhs[k], ts[k]) for k in range(N + 1)])
-
-    M = claw.metric.M
-    xstar = np.stack([claw.target(t)[0] for t in ts])
-    diff = xs - xstar
-    d = np.sqrt(np.maximum(np.einsum("ki,ij,kj->k", diff, M, diff), 0.0))
-    Wo = olaw.metric.W
-    ediff = xhs - xs
-    est_err = np.sqrt(np.maximum(np.einsum("ki,ij,kj->k", ediff, Wo, ediff), 0.0))
-
-    # measured feedback-mismatch disturbance w = B (k(xhat) - k(x))
-    u_true = np.stack([claw.control(xs[k], ts[k]) for k in range(N + 1)])
-    w_mag = np.linalg.norm((u_rec - u_true) @ B.T, axis=1)
-    d_bound = _bound_curve(claw, ts, d[0], est_err, w_mag, noisy=sigma > 0)
+    if olaw is None:
+        xhs, ys = xs.copy(), y_clean.copy()
+    else:
+        xhs, ys = zs[:, n:], y_clean + sigma * xi
+    if claw is None:
+        u = np.zeros((N, model.m))
+    else:
+        u = np.stack([claw.control(xhs[k], ts[k]) for k in range(N)])
+    d_bound, est_err = np.zeros(N), np.zeros(N)
+    if olaw is not None:
+        est_err = _metric_norm(xhs - xs, olaw.metric.W)
+        # measured feedback-mismatch disturbance w = B (k(xhat) - k(x))
+        u_true = np.stack([claw.control(xs[k], ts[k]) for k in range(N)])
+        w_mag = np.linalg.norm((u - u_true) @ B.T, axis=1)
+        d_bound = _bound_curve(claw, ts, d[0], est_err, w_mag, noisy=sigma > 0)
+    elif claw is not None:
+        d_bound = d[0] * np.exp(-claw.metric.lam * ts)
+    mode = "open" if claw is None else "state_fb" if olaw is None else "output_fb"
     return SimTrace(
-        t=ts, x=xs, x_hat=xhs, u=u_rec, y=ys, y_clean=y_clean,
-        d=d, d_bound=d_bound, est_err=est_err, mode="output_fb",
+        t=ts, x=xs, x_hat=xhs, u=u, y=ys, y_clean=y_clean,
+        d=d, d_bound=d_bound, est_err=est_err, mode=mode,
     )
+
+
+def iss_bound(metric: ControllerMetric, d0: float, disturbance_env, T: float,
+              dt: float = 1e-3) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate the disturbance bound  ddot = -lam*d + kappa*env(t).
+
+    env gives the Euclidean disturbance magnitude; kappa = 1/sqrt(alpha1)
+    converts it to metric units. Returns (t, d_bound) on the fixed grid.
+    """
+    if T <= 0:
+        raise ValueError("horizon must be positive")
+    kappa = kappa_candidates(metric)[ISS_KAPPA_KEY]
+    lam = metric.lam
+    nsteps = int(math.floor(T / dt + 1e-9))
+    ts = np.arange(nsteps + 1) * dt
+    d = np.empty(nsteps + 1)
+    d[0] = v = float(d0)
+    rhs = lambda t, v: -lam * v + kappa * float(disturbance_env(t))
+    for k in range(nsteps):
+        d[k + 1] = v = _rk4_step(rhs, ts[k], v, dt)
+    return ts, d
 
 
 def _bound_curve(claw, ts, d0, est_err, w_mag, noisy: bool) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -79,8 +80,11 @@ class SystemModel:
     def jacobian(self) -> PolyMatrix:
         return jacobian(self.f)
 
-    def f_value(self, x) -> np.ndarray:
-        return self.f.eval(x)[:, 0]
+    @cached_property
+    def f_value(self):
+        """f compiled once per model: f_value(x) -> (n,) array. The
+        simulation loop and the observer law both evaluate f through it."""
+        return self.f.as_function()
 
 
 class Role(enum.Enum):
@@ -477,25 +481,40 @@ def metric_from_text(text: str) -> tuple[ContractionMetric, SystemModel | None]:
     kv: dict[str, str] = {}
     for ln in lines[1:]:
         key, _, value = ln.partition(" ")
+        if key in kv:
+            raise ValueError(f"metric file repeats {key!r}")
         kv[key] = value.strip()
     for req in ("role", "lambda", "alpha1", "alpha2", "n", "W", "rho"):
         if req not in kv:
             raise ValueError(f"metric file missing {req!r}")
     n = int(kv["n"])
+    model_keys = {f"model.f{i + 1}" for i in range(n)} | {"model.B", "model.C"}
+    known = {"role", "lambda", "alpha1", "alpha2", "n", "W", "rho",
+             "rho_certificate_digest", "lmi_certificate_digest"} | model_keys
+    unknown = sorted(set(kv) - known)
+    if unknown:
+        raise ValueError(f"metric file has unknown keys {unknown}")
+    has_model = bool(model_keys & set(kv))
+    if has_model and not model_keys <= set(kv):
+        raise ValueError(f"metric file model is incomplete: missing {sorted(model_keys - set(kv))}")
     role = Role(kv["role"])
     W = _parse_matrix(kv["W"])
     if W.shape != (n, n):
         raise ValueError(f"W has shape {W.shape}, expected ({n}, {n})")
+    scalars = {key: float(kv[key]) for key in ("lambda", "alpha1", "alpha2")}
+    for key, value in [("W", W), *scalars.items()]:
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"metric file {key} must be finite")
     rho = poly_from_text(kv["rho"], n)
     cls = ControllerMetric if role is Role.CONTROLLER else ObserverMetric
     metric = cls(
-        W=W, rho=rho, lam=float(kv["lambda"]),
-        alpha1=float(kv["alpha1"]), alpha2=float(kv["alpha2"]),
+        W=W, rho=rho, lam=scalars["lambda"],
+        alpha1=scalars["alpha1"], alpha2=scalars["alpha2"],
         rho_digest=kv.get("rho_certificate_digest"),
         lmi_digest=kv.get("lmi_certificate_digest"),
     )
     model = None
-    if "model.f1" in kv:
+    if has_model:
         f_entries = [poly_from_text(kv[f"model.f{i + 1}"], n) for i in range(n)]
         model = SystemModel(
             PolyMatrix.column(f_entries), _parse_matrix(kv["model.B"]),

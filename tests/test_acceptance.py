@@ -7,9 +7,9 @@ import time
 
 import numpy as np
 
-from ccm.geom import project_to_measurement
+from ccm.geom import MeasurementProjector
 from ccm.poly import poly_from_text
-from ccm.realize import ControlLaw, ObserverLaw, control, observer_rhs
+from ccm.realize import ControlLaw, ObserverLaw
 from ccm.sdp import SdpProblem, SdpStatus, solve
 from ccm.sim import (
     SimConfig,
@@ -143,7 +143,7 @@ def test_criterion_7c_quadrature_agreement(mg_model, laws_slow):
         dc = -xh
         r = _simpson(lambda s: claw.metric.rho(xh + s * dc))
         u_oracle = 0.5 * r * (mg_model.B.T @ claw.metric.M @ dc)
-        worst = max(worst, float(np.abs(control(claw, xh) - u_oracle).max()))
+        worst = max(worst, float(np.abs(claw.control(xh) - u_oracle).max()))
         y = rng.uniform(-1, 1, size=1)
         xbar = olaw.projector.project(xh, y)
         do = xh - xbar
@@ -151,14 +151,14 @@ def test_criterion_7c_quadrature_agreement(mg_model, laws_slow):
         rhs_oracle = mg_model.f_value(xh) + 0.5 * ro * (
             np.linalg.solve(olaw.metric.W, mg_model.C.T) @ (y - mg_model.C @ xh)
         )
-        worst = max(worst, float(np.abs(observer_rhs(olaw, xh, y) - rhs_oracle).max()))
+        worst = max(worst, float(np.abs(olaw.rhs(xh, y) - rhs_oracle).max()))
     report("7c", worst <= 1e-9, f"control/observer vs quadrature max error {worst:.2e} <= 1e-9")
 
 
 def test_criterion_7d_kkt_projection_vs_brute_force():
     W = np.diag([1.0, 4.0])
     C = np.array([[1.0, 1.0]])
-    xbar = project_to_measurement([0.0, 0.0], C, [1.0], W)
+    xbar = MeasurementProjector(C, W).project([0.0, 0.0], [1.0])
     ts = np.linspace(-2, 3, 200001)
     cost = ts**2 + 4.0 * (1.0 - ts) ** 2
     t_best = ts[np.argmin(cost)]

@@ -225,6 +225,20 @@ def test_simulate_open_mode(tmp_path):
     assert (out / "summary_open.txt").is_file()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_simulate_divergence_exits_with_message(tmp_path, capsys):
+    # a step size that destroys the dynamics: the state overflows at t = 1
+    cpath = tmp_path / "blowup.cfg"
+    cpath.write_text(
+        GOOD_CONFIG.replace("dt = 0.001", "dt = 0.5").replace("T = 4", "T = 30")
+        .replace("x0 = limit-cycle", "x0 = 5 5")
+    )
+    code = main(["simulate", "-c", str(cpath), "--mode", "open", "-o", str(tmp_path / "o")])
+    assert code == EXIT_USAGE
+    assert "simulation error: non-finite state at t=1" in capsys.readouterr().err
+
+
 def test_simulate_output_feedback_and_determinism(tmp_path, metric_dir):
     cpath = _short_cfg(tmp_path)
     outs = []

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccm.geom import (
-    GeodesicSegment,
-    MeasurementProjector,
-    MetricError,
-    RankDeficientError,
-    distance,
-    project_to_measurement,
-)
+from ccm.geom import MeasurementProjector, MetricError, RankDeficientError, distance
 
 vec2 = st.tuples(st.floats(-5, 5), st.floats(-5, 5)).map(np.array)
 
@@ -54,16 +47,21 @@ def test_distance_metric_axioms(a, b, c, M):
 
 
 def test_geodesic_segment_length_and_points():
-    seg = GeodesicSegment(np.zeros(2), np.array([3.0, 4.0]), np.eye(2))
-    assert seg.length() == pytest.approx(5.0)
-    np.testing.assert_allclose(seg.point(0.5), [1.5, 2.0])
+    # under a constant metric the geodesic is the straight segment, so its
+    # midpoint lies at half the length from either end
+    start, end = np.zeros(2), np.array([3.0, 4.0])
+    assert distance(start, end, np.eye(2)) == pytest.approx(5.0)
+    mid = start + 0.5 * (end - start)
+    np.testing.assert_allclose(mid, [1.5, 2.0])
+    assert distance(start, mid, np.eye(2)) == pytest.approx(2.5)
+    assert distance(mid, end, np.eye(2)) == pytest.approx(2.5)
 
 
 # -- projection -----------------------------------------------------------------
 
 
 def test_projection_coordinate_case():
-    xbar = project_to_measurement([3.0, 5.0], np.array([[0.0, 1.0]]), [2.0], np.eye(2))
+    xbar = MeasurementProjector(np.array([[0.0, 1.0]]), np.eye(2)).project([3.0, 5.0], [2.0])
     np.testing.assert_allclose(xbar, [3.0, 2.0], atol=1e-12)
 
 
@@ -71,7 +69,7 @@ def test_projection_fixed_point_when_consistent():
     C = np.array([[1.0, -1.0]])
     x_hat = np.array([2.0, 1.5])
     y = C @ x_hat
-    xbar = project_to_measurement(x_hat, C, y, np.diag([1.0, 3.0]))
+    xbar = MeasurementProjector(C, np.diag([1.0, 3.0])).project(x_hat, y)
     np.testing.assert_allclose(xbar, x_hat, atol=1e-12)
 
 
@@ -80,7 +78,7 @@ def test_projection_weighted_closed_form():
     # frozen from a brute-force scan along the constraint line
     W = np.diag([1.0, 4.0])
     C = np.array([[1.0, 1.0]])
-    xbar = project_to_measurement([0.0, 0.0], C, [1.0], W)
+    xbar = MeasurementProjector(C, W).project([0.0, 0.0], [1.0])
     ts = np.linspace(-2, 3, 5001)
     cost = ts**2 * 1.0 + (1 - ts) ** 2 * 4.0
     t_best = ts[np.argmin(cost)]
@@ -92,7 +90,7 @@ def test_projection_weighted_closed_form():
 def test_projection_rank_deficient_reported():
     C = np.array([[1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(RankDeficientError):
-        project_to_measurement([0.0, 0.0], C, [1.0, 2.0], np.eye(2))
+        MeasurementProjector(C, np.eye(2)).project([0.0, 0.0], [1.0, 2.0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -117,7 +115,7 @@ def test_projection_minimizes_distance_among_consistent_points():
     C = np.array([[1.0, 2.0]])
     y = np.array([0.7])
     x_hat = np.array([1.3, -0.4])
-    xbar = project_to_measurement(x_hat, C, y, W)
+    xbar = MeasurementProjector(C, W).project(x_hat, y)
     d_star = distance(x_hat, xbar, W)
     # 1000 random points on the constraint line
     t = rng.uniform(-10, 10, size=1000)

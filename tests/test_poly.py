@@ -8,12 +8,9 @@ from ccm.poly import (
     Polynomial,
     PolyMatrix,
     PolyParseError,
-    add,
-    evaluate,
     jacobian,
     line_integral_form,
     line_integral_unit,
-    mul,
     poly_from_text,
     poly_to_text,
 )
@@ -45,37 +42,37 @@ def points(nvars=2):
 
 
 def test_add_cancellation():
-    assert add(P("x1^2 + 1"), P("-1")) == P("x1^2")
+    assert P("x1^2 + 1") + P("-1") == P("x1^2")
 
 
 def test_add_identity():
     p = P("2*x1*x2 - 3")
-    assert add(p, Polynomial.zero(2)) == p
+    assert p + Polynomial.zero(2) == p
 
 
 def test_add_like_terms():
-    assert add(P("2*x1*x2"), P("3*x1*x2")) == P("5*x1*x2")
+    assert P("2*x1*x2") + P("3*x1*x2") == P("5*x1*x2")
 
 
 def test_mul_difference_of_squares():
-    assert mul(P("x1 + 1"), P("x1 - 1")) == P("x1^2 - 1")
+    assert P("x1 + 1") * P("x1 - 1") == P("x1^2 - 1")
 
 
 def test_mul_identity():
     p = P("x1^3 - 2*x2 + 0.5")
-    assert mul(p, Polynomial.constant(2, 1.0)) == p
+    assert p * Polynomial.constant(2, 1.0) == p
 
 
 def test_square_binomial():
     s = P("x1 + x2")
-    assert mul(s, s) == P("x1^2 + 2*x1*x2 + x2^2")
+    assert s * s == P("x1^2 + 2*x1*x2 + x2^2")
 
 
 def test_arity_mismatch_raises():
     with pytest.raises(ValueError, match="arity"):
-        add(P("x1", nvars=1), P("x1"))
+        P("x1", nvars=1) + P("x1")
     with pytest.raises(ValueError, match="arity"):
-        mul(P("x1", nvars=1), P("x1"))
+        P("x1", nvars=1) * P("x1")
 
 
 def test_no_stored_zero_coefficients():
@@ -118,19 +115,19 @@ def test_product_degree_adds(p, q):
 
 
 def test_eval_simple():
-    assert evaluate(P("x1^2 + 1"), [2.0, 0.0]) == 5.0
+    assert P("x1^2 + 1")([2.0, 0.0]) == 5.0
 
 
 def test_eval_at_origin_gives_constant_term():
     p = P("3*x1^2*x2 - 2*x1 + 7.5")
-    assert evaluate(p, [0.0, 0.0]) == 7.5
+    assert p([0.0, 0.0]) == 7.5
 
 
 def test_eval_matches_term_by_term_sum():
     p = P("1.5*x1^2 - 2*x1*x2 + x2^2 + 0.25")
     pt = np.array([1.3, -0.7])
     manual = sum(c * pt[0] ** m[0] * pt[1] ** m[1] for m, c in p.terms.items())
-    assert evaluate(p, pt) == pytest.approx(manual, rel=1e-15)
+    assert p(pt) == pytest.approx(manual, rel=1e-15)
 
 
 def test_eval_many_matches_scalar():
@@ -287,6 +284,16 @@ def test_zero_renders_and_parses():
 def test_symmetric_flag_validated():
     with pytest.raises(ValueError, match="differ"):
         PolyMatrix(2, 2, 2, [[P("1"), P("x1")], [P("x2"), P("1")]], symmetric=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(nvars=3), polys(nvars=3), points(3))
+def test_column_as_function_matches_entry_functions(p, q, x):
+    col = PolyMatrix.column([p, q]).as_function()
+    expected = np.array([p.as_function()(*x), q.as_function()(*x)])
+    assert np.array_equal(col(x), expected)
+    with pytest.raises(ValueError, match="column"):
+        PolyMatrix(3, 1, 2, [[p, q]]).as_function()
 
 
 def test_eval_many_matrix():

@@ -3,19 +3,17 @@
 import numpy as np
 import pytest
 
-from ccm.geom import project_to_measurement
+from ccm.geom import MeasurementProjector
 from ccm.poly import Polynomial
 from ccm.realize import (
     ControlLaw,
     ISS_KAPPA_KEY,
     ObserverLaw,
-    control,
     control_reference,
-    iss_bound,
     kappa_candidates,
-    observer_rhs,
     two_exponential_bound,
 )
+from ccm.sim import iss_bound
 from ccm.synth import ControllerMetric, ObserverMetric
 
 
@@ -37,7 +35,7 @@ def laws(mg_model, metrics_slow):
 
 def test_control_zero_error_returns_reference(laws):
     claw, _ = laws
-    u = control(claw, np.zeros(2))
+    u = claw.control(np.zeros(2))
     np.testing.assert_allclose(u, np.zeros(1), atol=1e-15)
 
 
@@ -51,7 +49,7 @@ def test_control_constant_rho_closed_form(mg_model):
     x_hat = np.array([1.2, -0.4])
     dc = -x_hat
     expected = 0.5 * 3.0 * (mg_model.B.T @ metric.M @ dc)
-    np.testing.assert_allclose(control(claw, x_hat), expected, rtol=1e-13)
+    np.testing.assert_allclose(claw.control(x_hat), expected, rtol=1e-13)
 
 
 def test_control_matches_simpson_quadrature(laws, mg_model):
@@ -61,7 +59,7 @@ def test_control_matches_simpson_quadrature(laws, mg_model):
     dc = -x_hat
     r_oracle = simpson(lambda s: metric.rho(x_hat + s * dc))
     u_oracle = 0.5 * r_oracle * (mg_model.B.T @ metric.M @ dc)
-    np.testing.assert_allclose(control(claw, x_hat), u_oracle, atol=1e-9)
+    np.testing.assert_allclose(claw.control(x_hat), u_oracle, atol=1e-9)
 
 
 def test_control_matches_quadrature_on_random_states(laws, mg_model):
@@ -72,9 +70,9 @@ def test_control_matches_quadrature_on_random_states(laws, mg_model):
         dc = -x_hat
         r = simpson(lambda s: claw.metric.rho(x_hat + s * dc))
         u_oracle = 0.5 * r * (mg_model.B.T @ claw.metric.M @ dc)
-        np.testing.assert_allclose(control(claw, x_hat), u_oracle, atol=1e-9)
+        np.testing.assert_allclose(claw.control(x_hat), u_oracle, atol=1e-9)
         np.testing.assert_allclose(
-            control(claw, x_hat), control_reference(claw, x_hat), atol=1e-12
+            claw.control(x_hat), control_reference(claw, x_hat), atol=1e-12
         )
 
 
@@ -89,8 +87,8 @@ def test_control_linear_in_error_for_constant_rho(mg_model):
     for _ in range(5):
         a, b = rng.uniform(-1, 1, size=(2, 2))
         s, t = rng.uniform(-2, 2, size=2)
-        lhs = control(claw, -(s * a + t * b))
-        rhs = s * control(claw, -a) + t * control(claw, -b)
+        lhs = claw.control(-(s * a + t * b))
+        rhs = s * claw.control(-a) + t * claw.control(-b)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -115,7 +113,7 @@ def test_observer_consistent_measurement_gives_plant_flow(laws, mg_model):
     x_hat = np.array([0.7, -0.3])
     y = mg_model.C @ x_hat
     np.testing.assert_allclose(
-        observer_rhs(olaw, x_hat, y), mg_model.f_value(x_hat), atol=1e-12
+        olaw.rhs(x_hat, y), mg_model.f_value(x_hat), atol=1e-12
     )
 
 
@@ -129,7 +127,7 @@ def test_observer_constant_rho_is_luenberger(mg_model):
     x_hat = np.array([1.1, 0.2])
     y = np.array([0.9])
     expected = mg_model.f_value(x_hat) + K @ (y - mg_model.C @ x_hat)
-    np.testing.assert_allclose(observer_rhs(olaw, x_hat, y), expected, rtol=1e-12)
+    np.testing.assert_allclose(olaw.rhs(x_hat, y), expected, rtol=1e-12)
 
 
 def test_observer_matches_simpson_quadrature(laws, mg_model):
@@ -137,13 +135,13 @@ def test_observer_matches_simpson_quadrature(laws, mg_model):
     metric = olaw.metric
     x_hat = np.array([1.0, 1.0])
     y = np.array([0.5])
-    xbar = project_to_measurement(x_hat, mg_model.C, y, metric.W)
+    xbar = MeasurementProjector(mg_model.C, metric.W).project(x_hat, y)
     do = x_hat - xbar
     r = simpson(lambda s: metric.rho(xbar + s * do))
     expected = mg_model.f_value(x_hat) + 0.5 * r * (
         np.linalg.solve(metric.W, mg_model.C.T) @ (y - mg_model.C @ x_hat)
     )
-    np.testing.assert_allclose(observer_rhs(olaw, x_hat, y), expected, atol=1e-9)
+    np.testing.assert_allclose(olaw.rhs(x_hat, y), expected, atol=1e-9)
 
 
 def test_observer_random_states_quadrature(laws, mg_model):
@@ -158,7 +156,7 @@ def test_observer_random_states_quadrature(laws, mg_model):
         expected = mg_model.f_value(x_hat) + 0.5 * r * (
             np.linalg.solve(olaw.metric.W, mg_model.C.T) @ (y - mg_model.C @ x_hat)
         )
-        np.testing.assert_allclose(observer_rhs(olaw, x_hat, y), expected, atol=1e-9)
+        np.testing.assert_allclose(olaw.rhs(x_hat, y), expected, atol=1e-9)
 
 
 # -- closed-loop linearization ------------------------------------------------------

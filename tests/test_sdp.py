@@ -20,6 +20,8 @@ from ccm.sdp import (
     solve,
     svec,
 )
+from ccm.sim import moore_greitzer
+from ccm.synth import Role, SynthStatus, synthesize
 
 
 # -- svec / smat / symmetric Kronecker product ------------------------------------
@@ -93,6 +95,23 @@ def test_non_finite_search_direction_is_marginal(monkeypatch):
     sol = solve(trace_min_problem())
     assert sol.status is SdpStatus.MARGINAL
     assert "non-finite" in sol.message
+
+
+def test_non_finite_schur_complement_is_marginal(monkeypatch):
+    # an NT scaling that overflows makes the Schur complement inf; that must
+    # end the solve as MARGINAL, not escape as a ValueError from cho_factor
+    def inf_symkron(W):
+        k = W.shape[0] * (W.shape[0] + 1) // 2
+        return np.full((k, k), np.inf)
+
+    monkeypatch.setattr(sdp, "_symkron", inf_symkron)
+    with np.errstate(invalid="ignore"):
+        sol = solve(trace_min_problem())
+        res = synthesize(moore_greitzer(), Role.CONTROLLER, 0.1, 0.1, 1.3)
+    assert sol.status is SdpStatus.MARGINAL
+    assert sol.message == "Schur complement factorization failed"
+    assert res.status is SynthStatus.INCONCLUSIVE
+    assert res.message == "Schur complement factorization failed"
 
 
 def trace_min_problem():

@@ -205,6 +205,31 @@ def test_different_seeds_differ(mg_model, laws_slow, lc_state):
     assert not np.array_equal(traces[0].y, traces[1].y)
 
 
+def test_noise_is_one_seeded_draw_held_per_step(mg_model, laws_slow, lc_state):
+    claw, olaw = laws_slow
+    sigma, seed = 0.3, 4
+    cfg = SimConfig(dt=1e-2, T=1.0, x0=lc_state, xhat0=np.zeros(2),
+                    noise_std=sigma, seed=seed)
+    tr = run_output_feedback(mg_model, claw, olaw, cfg)
+    xi = np.random.default_rng(seed).standard_normal((cfg.nsteps + 1, mg_model.p))
+    assert np.array_equal(tr.y, tr.y_clean + sigma * xi)
+
+    # the first RK4 step holds xi[0] over all four stages
+    def rhs(t, z):
+        x, xh = z[:2], z[2:]
+        u = claw.control(xh, t)
+        y = mg_model.C @ x + sigma * xi[0]
+        return np.concatenate([mg_model.f_value(x) + mg_model.B @ u, olaw.rhs(xh, y, t, u)])
+
+    h, z0 = cfg.dt, np.concatenate([lc_state, np.zeros(2)])
+    k1 = rhs(0.0, z0)
+    k2 = rhs(h / 2, z0 + h / 2 * k1)
+    k3 = rhs(h / 2, z0 + h / 2 * k2)
+    k4 = rhs(h, z0 + h * k3)
+    z1 = z0 + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    np.testing.assert_allclose(np.concatenate([tr.x[1], tr.x_hat[1]]), z1, rtol=1e-13, atol=1e-15)
+
+
 # -- statistics / csv ---------------------------------------------------------------
 
 

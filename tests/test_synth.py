@@ -238,9 +238,29 @@ def test_metric_text_round_trip_lossless(mg_model, metrics_slow):
         assert metric_to_text(again, model2) == text
 
 
-def test_metric_text_rejects_bad_header():
+def test_metric_text_rejects_bad_header(mg_model, metrics_slow):
     with pytest.raises(ValueError, match="header"):
         metric_from_text("not-a-metric\n")
+    cmetric, _ = metrics_slow
+    metric_from_text(metric_to_text(cmetric))  # without the model section
+    good = metric_to_text(cmetric, mg_model)
+    w_line = next(ln for ln in good.splitlines() if ln.startswith("W "))
+    bad_files = {
+        "repeats 'lambda'": good + "lambda 99.0\n",
+        "unknown keys": good + "gain 2.0\n",
+        "unknown keys.*model.f3": good + "model.f3 x1\n",
+        "model is incomplete": "".join(
+            ln for ln in good.splitlines(keepends=True) if not ln.startswith("model.B")
+        ),
+        "W must be finite": good.replace(w_line, "W nan nan; nan nan"),
+        "lambda must be finite": good.replace(f"lambda {cmetric.lam!r}", "lambda inf"),
+        "alpha1 must be finite": good.replace(f"alpha1 {cmetric.alpha1!r}", "alpha1 nan"),
+        "alpha2 must be finite": good.replace(f"alpha2 {cmetric.alpha2!r}", "alpha2 -inf"),
+    }
+    for match, text in bad_files.items():
+        assert text != good
+        with pytest.raises(ValueError, match=match):
+            metric_from_text(text)
 
 
 def test_controller_metric_theta_factorization(metrics_slow):
