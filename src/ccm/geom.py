@@ -69,15 +69,14 @@ class MeasurementProjector:
         K[:n, :n] = W
         K[:n, n:] = C.T
         K[n:, :n] = C
-        self._lu = sla.lu_factor(K)
         # the KKT solution is affine in (x_hat, y); extract the two maps once
-        Kinv = sla.lu_solve(self._lu, np.eye(n + p))
-        self._from_xhat = Kinv[:n, :n] @ W  # (n, n)
-        self._from_y = Kinv[:n, n:]  # (n, p)
+        Kinv = sla.lu_solve(sla.lu_factor(K), np.eye(n + p))
+        self.from_xhat = Kinv[:n, :n] @ W  # (n, n)
+        self.from_y = Kinv[:n, n:]  # (n, p)
 
     def project(self, x_hat, y) -> np.ndarray:
         x_hat = np.asarray(x_hat, dtype=float)
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if x_hat.shape != (self.n,) or y.shape != (self.p,):
             raise ValueError("projection input dimensions do not match C/W")
-        return self._from_xhat @ x_hat + self._from_y @ y
+        return self.from_xhat @ x_hat + self.from_y @ y

@@ -62,14 +62,16 @@ class ControlLaw:
             raise ValueError(
                 f"target is not an equilibrium: |f(x*) + B u*| = {np.abs(resid).max():.3e}"
             )
-        self._gain = model.B.T @ metric.M  # (m, n)
-        self._rho_int = line_integral_form(metric.rho).as_function()
+        self.gain = model.B.T @ metric.M  # (m, n)
+        self.rho_form = line_integral_form(metric.rho)  # in (x_hat, dc)
+        self._rho_int = self.rho_form.as_function()
 
     def control(self, x_hat, t: float = 0.0) -> np.ndarray:
+        """u at one estimate (n,), or at each row of an (N, n) array."""
         x_hat = np.asarray(x_hat, dtype=float)
         dc = self.x_star - x_hat
-        r = self._rho_int(*x_hat, *dc)
-        return self.u_star + (0.5 * r) * (self._gain @ dc)
+        r = np.asarray(self._rho_int(*x_hat.T, *dc.T))  # elementwise over rows
+        return self.u_star + (0.5 * r)[..., None] * (dc @ self.gain.T)
 
 
 class ObserverLaw:
@@ -81,8 +83,9 @@ class ObserverLaw:
         self.metric = metric
         self.model = model
         self.projector = MeasurementProjector(model.C, metric.W)
-        self._winv_ct = np.linalg.solve(metric.W, model.C.T)  # (n, p)
-        self._rho_int = line_integral_form(metric.rho).as_function()
+        self.winv_ct = np.linalg.solve(metric.W, model.C.T)  # (n, p)
+        self.rho_form = line_integral_form(metric.rho)  # in (xbar, do)
+        self._rho_int = self.rho_form.as_function()
 
     def rhs(self, x_hat, y, t: float = 0.0, u=None) -> np.ndarray:
         """Estimate dynamics. u is the known applied plant input; it enters
@@ -96,7 +99,7 @@ class ObserverLaw:
         drift = self.model.f_value(x_hat)
         if u is not None:
             drift = drift + self.model.B @ np.atleast_1d(np.asarray(u, dtype=float))
-        return drift + (0.5 * r) * (self._winv_ct @ innov)
+        return drift + (0.5 * r) * (self.winv_ct @ innov)
 
 
 def control_reference(law: ControlLaw, x_hat, t: float = 0.0) -> np.ndarray:

@@ -740,8 +740,9 @@ class _HsdCore:
         return max(0.0, -self.cone.min_eig(z))
 
     def _factor(self, M: np.ndarray):
-        # checked here rather than by cho_factor, whose check raises a
-        # ValueError: a non-finite M is a failed factorization (MARGINAL)
+        # checked once here rather than by cho_factor/cho_solve, whose checks
+        # raise a ValueError and rescan on every solve: a non-finite M is a
+        # failed factorization (MARGINAL)
         if not np.isfinite(M).all():
             raise np.linalg.LinAlgError("Schur complement not finite")
         m = M.shape[0]
@@ -750,7 +751,7 @@ class _HsdCore:
         for attempt in range(4):
             try:
                 cf = sla.cho_factor(M + jitter * np.eye(m), lower=True, check_finite=False)
-                return lambda v: sla.cho_solve(cf, v)
+                return lambda v: sla.cho_solve(cf, v, check_finite=False)
             except np.linalg.LinAlgError:
                 jitter = max(base * 1e-14, jitter * 100.0, 1e-14)
         raise np.linalg.LinAlgError("Schur complement not positive definite")

@@ -4,8 +4,14 @@ The three loop modes are one loop with parts switched off (the separation
 principle): plant + observer + controller for output feedback, the
 controller fed the true state for state feedback, u = 0 for the open loop.
 One run core builds the vector field and the trace for all three, and
-`integrate` is the one RK4 loop; the plant's f is the model's compiled
-`SystemModel.f_value`.
+`integrate` is the one RK4 loop. The open loop steps the model's compiled
+`SystemModel.f_value`. With constant metrics the feedback loop is explicit
+(u polynomial in xhat, xbar affine in (xhat, y), the rho path integrals
+precompiled polynomials), so each run generates the whole closed-loop
+vector field once as straight-line Python over floats
+(`_closed_loop_field`); it agrees with the per-point laws
+`ControlLaw.control` and `ObserverLaw.rhs` to rounding. After integration
+the control over the trace is one batched `ControlLaw.control` call.
 
 Fixed-step classical RK4 is the default integrator (reproducibility over
 adaptivity); an adaptive RK45 backend is available for cross-checking on
@@ -268,25 +274,20 @@ def _run(model: SystemModel, cfg: SimConfig, claw: ControlLaw | None = None,
     """Plant + observer + controller, with the observer switched off for
     state feedback (the controller reads x) and both laws for the open loop."""
     n, B, C, f = model.n, model.B, model.C, model.f_value
-    z0, noise, sigma = cfg.x0, None, 0.0
+    z0, noise, e = cfg.x0, None, None
     if olaw is not None:
         sigma = cfg.noise_std
         if sigma > 0 and cfg.integrator != "rk4":
             raise ValueError("noise injection requires the fixed-step rk4 integrator")
         xi = np.random.default_rng(cfg.seed).standard_normal((cfg.nsteps + 1, model.p))
+        e = sigma * xi
         z0 = np.concatenate([cfg.x0, cfg.xhat0])
         if cfg.integrator == "rk4":
-            noise = xi
-
-    def rhs(t, z, w=np.zeros(model.p)):
-        if claw is None:
-            return f(z)
-        if olaw is None:
-            return f(z) + B @ claw.control(z, t)
-        x, xh = z[:n], z[n:]
-        u = claw.control(xh, t)
-        y = C @ x + sigma * w
-        return np.concatenate([f(x) + B @ u, olaw.rhs(xh, y, t, u)])
+            noise = e.tolist()
+    if claw is None:
+        rhs = lambda t, z: f(z)
+    else:
+        rhs = _closed_loop_field(model, claw, olaw)
 
     ts, zs = integrate(rhs, z0, cfg, noise)
     N = len(ts)
@@ -299,18 +300,14 @@ def _run(model: SystemModel, cfg: SimConfig, claw: ControlLaw | None = None,
     if olaw is None:
         xhs, ys = xs.copy(), y_clean.copy()
     else:
-        xhs, ys = zs[:, n:], y_clean + sigma * xi
-    if claw is None:
-        u = np.zeros((N, model.m))
-    else:
-        u = np.stack([claw.control(xhs[k], ts[k]) for k in range(N)])
+        xhs, ys = zs[:, n:], y_clean + e
+    u = np.zeros((N, model.m)) if claw is None else claw.control(xhs)
     d_bound, est_err = np.zeros(N), np.zeros(N)
     if olaw is not None:
         est_err = _metric_norm(xhs - xs, olaw.metric.W)
         # measured feedback-mismatch disturbance w = B (k(xhat) - k(x))
-        u_true = np.stack([claw.control(xs[k], ts[k]) for k in range(N)])
-        w_mag = np.linalg.norm((u - u_true) @ B.T, axis=1)
-        d_bound = _bound_curve(claw, ts, d[0], est_err, w_mag, noisy=sigma > 0)
+        w_mag = np.linalg.norm((u - claw.control(xs)) @ B.T, axis=1)
+        d_bound = _bound_curve(claw, ts, d[0], est_err, w_mag, noisy=cfg.noise_std > 0)
     elif claw is not None:
         d_bound = d[0] * np.exp(-claw.metric.lam * ts)
     mode = "open" if claw is None else "state_fb" if olaw is None else "output_fb"
@@ -320,12 +317,64 @@ def _run(model: SystemModel, cfg: SimConfig, claw: ControlLaw | None = None,
     )
 
 
+def _lincomb(coeffs, names) -> str:
+    """sum_j coeffs[j]*names[j] as source; zero coefficients left out."""
+    parts = [f"{float(c)!r}*{v}" for c, v in zip(coeffs, names) if c != 0.0]
+    return " + ".join(parts) if parts else "0.0"
+
+
+def _closed_loop_field(model: SystemModel, claw: ControlLaw, olaw: ObserverLaw | None):
+    """The loop's vector field (t, z, e) -> zdot, generated once per run as
+    straight-line Python over floats.
+
+    With an observer, z = (x, xhat), e is the measurement noise row and
+    y = C x + e; without one, z = x and the controller reads x. Each line
+    mirrors ControlLaw.control, MeasurementProjector.project or
+    ObserverLaw.rhs, so the field agrees with those per-point laws to
+    rounding.
+    """
+    n, m, p = model.n, model.m, model.p
+    xs = [f"x{i}" for i in range(n)]
+    hs = xs if olaw is None else [f"h{i}" for i in range(n)]
+    dc, us = [f"c{i}" for i in range(n)], [f"u{k}" for k in range(m)]
+    f_x = [model.f.entry(i, 0)._source(xs) for i in range(n)]
+    bu = [_lincomb(model.B[i], us) for i in range(n)]
+    body = [f"{', '.join(xs if olaw is None else xs + hs)}, = z.tolist()"]
+    body += [f"{dc[i]} = {float(claw.x_star[i])!r} - {hs[i]}" for i in range(n)]
+    body.append(f"kc = 0.5 * ({claw.rho_form._source(hs + dc)})")
+    body += [f"{us[k]} = {float(claw.u_star[k])!r} + kc * ({_lincomb(claw.gain[k], dc)})"
+             for k in range(m)]
+    out = [f"({f_x[i]}) + ({bu[i]})" for i in range(n)]
+    if olaw is not None:
+        es, ys = [f"e{j}" for j in range(p)], [f"y{j}" for j in range(p)]
+        bs, ds = [f"b{i}" for i in range(n)], [f"o{i}" for i in range(n)]
+        innov = [f"i{j}" for j in range(p)]
+        proj = olaw.projector
+        body.append(f"{', '.join(es)}, = e")
+        body += [f"{ys[j]} = ({_lincomb(model.C[j], xs)}) + {es[j]}" for j in range(p)]
+        body += [f"{bs[i]} = ({_lincomb(proj.from_xhat[i], hs)}) + ({_lincomb(proj.from_y[i], ys)})"
+                 for i in range(n)]
+        body += [f"{ds[i]} = {hs[i]} - {bs[i]}" for i in range(n)]
+        body.append(f"ko = 0.5 * ({olaw.rho_form._source(bs + ds)})")
+        body += [f"{innov[j]} = {ys[j]} - ({_lincomb(model.C[j], hs)})" for j in range(p)]
+        f_h = [model.f.entry(i, 0)._source(hs) for i in range(n)]
+        out += [f"(({f_h[i]}) + ({bu[i]})) + ko * ({_lincomb(olaw.winv_ct[i], innov)})"
+                for i in range(n)]
+    body.append(f"return _array([{', '.join(out)}])")
+    src = "def _field(t, z, e=_NOISE_FREE):\n" + "".join(f"    {ln}\n" for ln in body)
+    ns: dict = {"_array": np.array, "_NOISE_FREE": (0.0,) * p}
+    exec(src, ns)  # noqa: S102 - generated from numeric literals only
+    return ns["_field"]
+
+
 def iss_bound(metric: ControllerMetric, d0: float, disturbance_env, T: float,
               dt: float = 1e-3) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the disturbance bound  ddot = -lam*d + kappa*env(t).
 
     env gives the Euclidean disturbance magnitude; kappa = 1/sqrt(alpha1)
-    converts it to metric units. Returns (t, d_bound) on the fixed grid.
+    converts it to metric units. env is called once, on the array of the
+    RK4 stage times (a scalar result is broadcast). Returns (t, d_bound) on
+    the fixed grid.
     """
     if T <= 0:
         raise ValueError("horizon must be positive")
@@ -333,11 +382,15 @@ def iss_bound(metric: ControllerMetric, d0: float, disturbance_env, T: float,
     lam = metric.lam
     nsteps = int(math.floor(T / dt + 1e-9))
     ts = np.arange(nsteps + 1) * dt
+    # the times _rk4_step visits, formed with its arithmetic, so lookups by t are exact
+    stage_t = np.concatenate([ts[:-1], ts[:-1] + dt / 2, ts[:-1] + dt])
+    env = np.broadcast_to(np.asarray(disturbance_env(stage_t), dtype=float), stage_t.shape)
+    forcing = dict(zip(stage_t.tolist(), (kappa * env).tolist()))
+    rhs = lambda t, v: -lam * v + forcing[t]
     d = np.empty(nsteps + 1)
     d[0] = v = float(d0)
-    rhs = lambda t, v: -lam * v + kappa * float(disturbance_env(t))
-    for k in range(nsteps):
-        d[k + 1] = v = _rk4_step(rhs, ts[k], v, dt)
+    for k, t in enumerate(ts[:-1].tolist()):
+        d[k + 1] = v = _rk4_step(rhs, t, v, dt)
     return ts, d
 
 
@@ -345,7 +398,7 @@ def _bound_curve(claw, ts, d0, est_err, w_mag, noisy: bool) -> np.ndarray:
     lam = claw.metric.lam
     kappa = kappa_candidates(claw.metric)[ISS_KAPPA_KEY]
     if noisy:
-        env = lambda t: float(np.interp(t, ts, w_mag))
+        env = lambda t: np.interp(t, ts, w_mag)
         _, db = iss_bound(claw.metric, d0, env, ts[-1], dt=ts[1] - ts[0])
         return db
     if w_mag.max(initial=0.0) <= 0.0:

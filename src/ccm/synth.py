@@ -16,6 +16,7 @@ is how it is constructed here.
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -64,6 +65,10 @@ class SystemModel:
             raise ValueError(f"B must have {n} rows")
         if self.C.shape[1] != n:
             raise ValueError(f"C must have {n} columns")
+        f_coeffs = [c for i in range(n) for c in self.f.entry(i, 0).terms.values()]
+        for name, values in (("B", self.B), ("C", self.C), ("f", f_coeffs)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite")
 
     @property
     def n(self) -> int:
@@ -192,6 +197,9 @@ def metric_constraints(
     -(W A' + A W - rho G G' + RATE_MULTIPLIER*lam W) and rho in SOS, plus
     the interval bound alpha1 I <= W <= alpha2 I.
     """
+    for name, value in (("lambda", lam), ("alpha1", alpha1), ("alpha2", alpha2)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     if lam <= 0:
         raise ValueError("lambda must be positive")
     if not (0 < alpha1 <= alpha2):

@@ -82,6 +82,8 @@ def test_bad_matrix_rejected():
     bad = GOOD_CONFIG.replace("B = 0; 1", "B = 0; x")
     with pytest.raises(ConfigError, match="cannot parse"):
         parse_config(bad)
+    with pytest.raises(ConfigError, match=r"\[model\]: B must be finite"):
+        parse_config(GOOD_CONFIG.replace("B = 0; 1", "B = 0; nan"))
 
 
 def test_presets_load():
@@ -157,6 +159,13 @@ def test_synthesize_config_error_exit(tmp_path):
     cpath = tmp_path / "bad.cfg"
     cpath.write_text(GOOD_CONFIG.replace("f1 =", "f1 = ^^ "))
     assert main(["synthesize", "-c", str(cpath), "-o", str(tmp_path)]) == EXIT_USAGE
+
+
+def test_synthesize_non_finite_lambda_exit(tmp_path, capsys):
+    cpath = tmp_path / "nan.cfg"
+    cpath.write_text(GOOD_CONFIG.replace("lambda = 0.1", "lambda = nan", 1))
+    assert main(["synthesize", "-c", str(cpath), "-o", str(tmp_path)]) == EXIT_USAGE
+    assert "error: lambda must be finite" in capsys.readouterr().err
 
 
 def test_verify_passes_fresh_metrics(metric_dir, capsys):

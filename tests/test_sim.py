@@ -3,12 +3,23 @@
 import numpy as np
 import pytest
 
+from ccm.poly import PolyMatrix, Polynomial, poly_from_text
+from ccm.realize import (
+    ControlLaw,
+    ISS_KAPPA_KEY,
+    ObserverLaw,
+    kappa_candidates,
+    two_exponential_bound,
+)
 from ccm.sim import (
     SimConfig,
     SimTrace,
     SimulationError,
+    _closed_loop_field,
     decay_rate,
+    fit_decay_exponent,
     integrate,
+    iss_bound,
     limit_cycle_state,
     moore_greitzer,
     overshoot,
@@ -17,6 +28,8 @@ from ccm.sim import (
     run_state_feedback,
     trace_summary,
 )
+from ccm.sos import monomials_upto
+from ccm.synth import ControllerMetric, ObserverMetric, SystemModel
 
 
 # -- integrators ------------------------------------------------------------------
@@ -228,6 +241,149 @@ def test_noise_is_one_seeded_draw_held_per_step(mg_model, laws_slow, lc_state):
     k4 = rhs(h, z0 + h * k3)
     z1 = z0 + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     np.testing.assert_allclose(np.concatenate([tr.x[1], tr.x_hat[1]]), z1, rtol=1e-13, atol=1e-15)
+
+
+# -- compiled closed-loop field ----------------------------------------------------
+
+
+def _rel_err(got, want) -> float:
+    return float(np.abs(np.asarray(got) - want).max() / max(np.abs(want).max(), 1e-300))
+
+
+def _random_metrics(rng, n, rho_degree):
+    """SPD metrics and random rho polynomials: the field compiles any constants."""
+    def spd():
+        A = rng.standard_normal((n, n))
+        return A @ A.T + n * np.eye(n)
+
+    def rho():
+        monos = monomials_upto(n, rho_degree)
+        return Polynomial(n, dict(zip(monos, rng.uniform(0.1, 2.0, len(monos)))))
+
+    common = dict(lam=0.5, alpha1=0.1, alpha2=100.0)
+    return ControllerMetric(W=spd(), rho=rho(), **common), ObserverMetric(W=spd(), rho=rho(), **common)
+
+
+def _lag_model():
+    """The 3-state actuator-lag model: n = 3, B = e3, C = e2."""
+    f = ["-x2 - 1.5*x1^2 - 0.5*x1^3", "x1 + x3", "-2.0*x3"]
+    return SystemModel(PolyMatrix.column([poly_from_text(t, 3) for t in f]),
+                       np.array([[0.0], [0.0], [1.0]]), np.array([[0.0, 1.0, 0.0]]))
+
+
+def _check_field_against_laws(model, claw, olaw, seed=0, npts=25):
+    rng = np.random.default_rng(seed)
+    n, B, C = model.n, model.B, model.C
+    sf = _closed_loop_field(model, claw, None)
+    of = _closed_loop_field(model, claw, olaw)
+    for _ in range(npts):
+        x, xh, e = rng.uniform(-1.5, 1.5, n), rng.uniform(-1.5, 1.5, n), rng.normal(0, 0.3, model.p)
+        u = claw.control(xh)
+        want = np.concatenate([model.f_value(x) + B @ u, olaw.rhs(xh, C @ x + e, 0.0, u)])
+        assert _rel_err(of(0.0, np.concatenate([x, xh]), e.tolist()), want) <= 1e-12
+        assert _rel_err(sf(0.0, x), model.f_value(x) + B @ claw.control(x)) <= 1e-12
+    # the default noise row is zero
+    z = np.concatenate([x, xh])
+    np.testing.assert_array_equal(of(0.0, z), of(0.0, z, [0.0] * model.p))
+
+
+@pytest.mark.parametrize("regime", ["slow", "medium", "fast"])
+def test_compiled_field_matches_laws_on_presets(request, mg_model, regime):
+    cmetric, ometric = request.getfixturevalue(f"metrics_{regime}")
+    _check_field_against_laws(mg_model, ControlLaw(cmetric, mg_model), ObserverLaw(ometric, mg_model))
+
+
+def test_compiled_field_matches_laws_rho_degree_4(mg_model):
+    cmetric, ometric = _random_metrics(np.random.default_rng(1), 2, 4)
+    _check_field_against_laws(mg_model, ControlLaw(cmetric, mg_model), ObserverLaw(ometric, mg_model))
+
+
+def test_compiled_field_matches_laws_three_state_lag():
+    model = _lag_model()
+    cmetric, ometric = _random_metrics(np.random.default_rng(2), 3, 2)
+    _check_field_against_laws(model, ControlLaw(cmetric, model), ObserverLaw(ometric, model))
+
+
+def test_compiled_field_matches_laws_nonzero_target(mg_model, metrics_slow):
+    # f(x*) + B u* = 0: x1* = 0.2, x2* = -1.5 x1*^2 - 0.5 x1*^3, u* = -x1*
+    x_star = np.array([0.2, -1.5 * 0.2**2 - 0.5 * 0.2**3])
+    claw = ControlLaw(metrics_slow[0], mg_model, x_star=x_star, u_star=[-0.2])
+    _check_field_against_laws(mg_model, claw, ObserverLaw(metrics_slow[1], mg_model))
+
+
+def test_batched_control_matches_per_point(mg_model, laws_slow):
+    claw, _ = laws_slow
+    pts = np.random.default_rng(3).uniform(-2.0, 2.0, (200, 2))
+    batched = claw.control(pts)
+    assert batched.shape == (200, 1)
+    per_point = np.stack([claw.control(p) for p in pts])
+    assert _rel_err(batched, per_point) <= 1e-14
+    const = ControlLaw(ControllerMetric(W=np.eye(2), rho=Polynomial.constant(2, 2.0), lam=0.5,
+                                        alpha1=0.1, alpha2=2.0), mg_model)
+    assert _rel_err(const.control(pts), np.stack([const.control(p) for p in pts])) <= 1e-14
+
+
+def _reference_loop(model, claw, olaw, cfg):
+    """The closed loop stepped through the per-point laws, one call per stage."""
+    n, B, C, f = model.n, model.B, model.C, model.f_value
+    ts = cfg.time_grid()
+    e = cfg.noise_std * np.random.default_rng(cfg.seed).standard_normal((len(ts), model.p))
+
+    def rhs(t, z, ek):
+        if olaw is None:
+            return f(z) + B @ claw.control(z)
+        x, xh = z[:n], z[n:]
+        u = claw.control(xh)
+        return np.concatenate([f(x) + B @ u, olaw.rhs(xh, C @ x + ek, t, u)])
+
+    zs = [cfg.x0 if olaw is None else np.concatenate([cfg.x0, cfg.xhat0])]
+    h = cfg.dt
+    for k in range(cfg.nsteps):
+        z = zs[-1]
+        k1 = rhs(ts[k], z, e[k])
+        k2 = rhs(ts[k] + h / 2, z + h / 2 * k1, e[k])
+        k3 = rhs(ts[k] + h / 2, z + h / 2 * k2, e[k])
+        k4 = rhs(ts[k] + h, z + h * k3, e[k])
+        zs.append(z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+    zs = np.array(zs)
+    xs = zs[:, :n]
+    xhs = xs if olaw is None else zs[:, n:]
+    u = np.stack([claw.control(p) for p in xhs])
+    dx = xs - claw.x_star
+    d = np.sqrt(np.einsum("ki,ij,kj->k", dx, claw.metric.M, dx))
+    lam = claw.metric.lam
+    if olaw is None:
+        return xs, xhs, u, d, d[0] * np.exp(-lam * ts), np.zeros(len(ts))
+    de = xhs - xs
+    est_err = np.sqrt(np.einsum("ki,ij,kj->k", de, olaw.metric.W, de))
+    w_mag = np.linalg.norm((u - np.stack([claw.control(p) for p in xs])) @ B.T, axis=1)
+    if cfg.noise_std > 0:
+        _, d_bound = iss_bound(claw.metric, d[0], lambda t: np.interp(t, ts, w_mag), cfg.T, cfg.dt)
+    else:
+        alpha = fit_decay_exponent(ts, est_err)
+        log_beta = np.max(np.log(w_mag[w_mag > 0]) + alpha * ts[w_mag > 0])
+        kappa = kappa_candidates(claw.metric)[ISS_KAPPA_KEY]
+        d_bound = two_exponential_bound(d[0], lam, np.log(kappa) + log_beta, alpha, ts)
+    return xs, xhs, u, d, d_bound, est_err
+
+
+@pytest.mark.parametrize("mode,sigma", [("state_fb", 0.0), ("output_fb", 0.0), ("output_fb", 0.3)])
+def test_trajectory_matches_per_call_reference(mg_model, laws_slow, lc_state, mode, sigma):
+    claw, olaw = laws_slow
+    cfg = SimConfig(dt=1e-3, T=1.5, x0=lc_state, xhat0=np.zeros(2), noise_std=sigma, seed=9)
+    if mode == "state_fb":
+        olaw = None
+        tr = run_state_feedback(mg_model, claw, cfg)
+    else:
+        tr = run_output_feedback(mg_model, claw, olaw, cfg)
+    xs, xhs, u, d, d_bound, est_err = _reference_loop(mg_model, claw, olaw, cfg)
+    for got, want in ((tr.x, xs), (tr.x_hat, xhs), (tr.u, u), (tr.d, d)):
+        assert _rel_err(got, want) <= 1e-12
+    if olaw is not None:
+        assert _rel_err(tr.est_err, est_err) <= 1e-12
+    assert _rel_err(tr.d_bound, d_bound) <= 1e-9
+    xi = np.random.default_rng(cfg.seed).standard_normal((cfg.nsteps + 1, mg_model.p))
+    assert np.array_equal(tr.y, tr.y_clean + sigma * xi)
 
 
 # -- statistics / csv ---------------------------------------------------------------

@@ -28,6 +28,27 @@ def scalar_model(f_text="x1", b=1.0, c=1.0):
     return SystemModel(f, np.array([[b]]), np.array([[c]]))
 
 
+def test_system_model_rejects_non_finite_data():
+    good = scalar_model()
+    with pytest.raises(ValueError, match="B must be finite"):
+        SystemModel(good.f, np.array([[np.nan]]), good.C)
+    with pytest.raises(ValueError, match="C must be finite"):
+        SystemModel(good.f, good.B, np.array([[np.inf]]))
+    bad_f = PolyMatrix.column([Polynomial(1, {(1,): np.nan})])
+    with pytest.raises(ValueError, match="f must be finite"):
+        SystemModel(bad_f, good.B, good.C)
+
+
+@pytest.mark.parametrize("role", [Role.CONTROLLER, Role.OBSERVER])
+def test_synthesize_rejects_non_finite_parameters(role):
+    model = scalar_model()
+    for args, name in (((np.nan, 0.1, 1.0), "lambda"), ((np.inf, 0.1, 1.0), "lambda"),
+                       ((1.0, np.nan, 1.0), "alpha1"), ((1.0, 0.1, np.inf), "alpha2"),
+                       ((1.0, 0.1, np.nan), "alpha2")):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            synthesize(model, role, *args)
+
+
 # -- hand-solvable scalar programs ------------------------------------------------
 
 
