@@ -14,7 +14,7 @@ unknown sections or keys are rejected):
     lambda = 0.1
     alpha1 = 0.1
     alpha2 = 1.3
-    rho_degree = 2
+    rho_degree = 2                    # 0 .. synth.MAX_RHO_DEGREE (10)
 
     [sim]
     dt = 0.001
@@ -63,6 +63,7 @@ from .synth import (
     Role,
     SynthStatus,
     SystemModel,
+    _parse_matrix,
     metric_from_text,
     metric_to_text,
     synthesize,
@@ -126,9 +127,7 @@ def resolve_state(text: str, model: SystemModel) -> np.ndarray:
     `limit-cycle` (a settled point on the open-loop oscillation)."""
     text = text.strip()
     if text == "limit-cycle":
-        bench = moore_greitzer()
-        if not (model.f == bench.f and np.array_equal(model.B, bench.B)
-                and np.array_equal(model.C, bench.C)):
+        if model != moore_greitzer():
             raise ConfigError(
                 "x0 = limit-cycle is defined only for the bundled benchmark model"
             )
@@ -144,8 +143,7 @@ def resolve_state(text: str, model: SystemModel) -> np.ndarray:
 
 def _parse_matrix_text(text: str, what: str) -> np.ndarray:
     try:
-        rows = [r.strip() for r in text.split(";") if r.strip()]
-        return np.array([[float(v) for v in r.split()] for r in rows])
+        return _parse_matrix(text)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {what}: {exc}") from None
 
@@ -370,11 +368,7 @@ def cmd_simulate(args) -> int:
         if not args.metrics:
             raise ConfigError("feedback modes require -m METRIC_DIR")
         cmetric, ometric, cmodel = _load_metrics(args.metrics)
-        if cmodel is not None and not (
-            cmodel.f == cfg.model.f
-            and np.array_equal(cmodel.B, cfg.model.B)
-            and np.array_equal(cmodel.C, cfg.model.C)
-        ):
+        if cmodel is not None and cmodel != cfg.model:
             raise ConfigError(
                 "metric files certify a different model than the config declares"
             )

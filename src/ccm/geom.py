@@ -8,13 +8,17 @@ weighted least-squares problem solved through one KKT system
     [ W  C' ] [ xbar   ]   [ W xhat ]
     [ C  0  ] [ lagmul ] = [ y      ]
 
-factored densely with partial pivoting.
+factored densely with partial pivoting. Its solution is affine in
+(xhat, y); the projector writes that map as generated source, which both
+`project` and the observer law run.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
+
+from .poly import compile_function, eval_rows, linear_source, symbols
 
 
 class MetricError(ValueError):
@@ -49,8 +53,7 @@ class MeasurementProjector:
     """Reusable projector onto {x : C x = y} in the W-weighted norm.
 
     Factors the KKT matrix once (LU with partial pivoting) and keeps the
-    two affine maps of its solution, so each projection is two small
-    matrix-vector products.
+    two affine maps of its solution, xbar = from_xhat xhat + from_y y.
     """
 
     def __init__(self, C: np.ndarray, W: np.ndarray):
@@ -73,10 +76,15 @@ class MeasurementProjector:
         Kinv = sla.lu_solve(sla.lu_factor(K), np.eye(n + p))
         self.from_xhat = Kinv[:n, :n] @ W  # (n, n)
         self.from_y = Kinv[:n, n:]  # (n, p)
+        hs, ys, bs = symbols("h", n), symbols("y", p), symbols("b", n)
+        self._project = compile_function(hs + ys, self.lines(hs, ys, bs), f"({', '.join(bs)},)")
+
+    def lines(self, hs: list[str], ys: list[str], outs: list[str]) -> list[str]:
+        """Source lines setting the names outs to the projection of the
+        estimate named hs with the output named ys."""
+        return [f"{outs[i]} = ({linear_source(self.from_xhat[i], hs)})"
+                f" + ({linear_source(self.from_y[i], ys)})" for i in range(self.n)]
 
     def project(self, x_hat, y) -> np.ndarray:
-        x_hat = np.asarray(x_hat, dtype=float)
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        if x_hat.shape != (self.n,) or y.shape != (self.p,):
-            raise ValueError("projection input dimensions do not match C/W")
-        return self.from_xhat @ x_hat + self.from_y @ y
+        """xbar for one estimate (n,) and output (p,), or for rows of them."""
+        return eval_rows(self._project, (self.n, self.p), x_hat, np.atleast_1d(y))

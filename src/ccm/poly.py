@@ -10,6 +10,9 @@ here are global:
 * canonical term order is graded lexicographic.
 
 Values are immutable after construction and safe to share across workers.
+A polynomial is evaluated only through the straight-line code it compiles
+to once (`as_function`), on a point or on the columns of an array of points,
+so its value does not depend on how it is asked for.
 """
 
 from __future__ import annotations
@@ -30,12 +33,13 @@ def grlex_key(mono: Monomial):
 class Polynomial:
     """A sparse real polynomial in ``nvars`` variables."""
 
-    __slots__ = ("nvars", "_terms")
+    __slots__ = ("nvars", "_terms", "_fn")
 
     def __init__(self, nvars: int, terms=None):
         if nvars < 0:
             raise ValueError("nvars must be non-negative")
         self.nvars = int(nvars)
+        self._fn = None
         clean: dict[Monomial, float] = {}
         if terms:
             for mono, coeff in terms.items():
@@ -203,28 +207,15 @@ class Polynomial:
             raise ValueError(
                 f"arity mismatch: point has shape {point.shape}, expected ({self.nvars},)"
             )
-        total = 0.0
-        for mono, c in self._terms.items():
-            v = c
-            for x, e in zip(point, mono):
-                if e:
-                    v *= x**e
-            total += v
-        return total
+        return float(self.as_function()(*point.tolist()))
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at an (N, nvars) array of points, vectorized."""
+        """Evaluate at an (N, nvars) array of points, one column per variable."""
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.nvars:
             raise ValueError(f"points must have shape (N, {self.nvars})")
-        out = np.zeros(points.shape[0])
-        for mono, c in self._terms.items():
-            v = np.full(points.shape[0], c)
-            for j, e in enumerate(mono):
-                if e:
-                    v *= points[:, j] ** e
-            out += v
-        return out
+        out = self.as_function()(*points.T)
+        return np.full(points.shape[0], out) if np.ndim(out) == 0 else out
 
     def _source(self, names: list[str]) -> str:
         """The polynomial as a Python expression in the variable names."""
@@ -237,16 +228,16 @@ class Polynomial:
         return " + ".join(parts) if parts else "0.0"
 
     def as_function(self):
-        """Compile to a plain-Python scalar function of nvars floats.
+        """The polynomial compiled to a plain-Python function of nvars
+        arguments, floats or equal-length arrays; compiled once and cached.
 
-        Fast path for tight simulation loops. Powers are expanded into
-        repeated products, so values agree with __call__ to rounding.
+        Powers are expanded into repeated products. __call__ and eval_many
+        run this function, so all three give the same bits.
         """
-        names = [f"v{i}" for i in range(self.nvars)]
-        src = f"def _poly({', '.join(names)}):\n    return {self._source(names)}\n"
-        ns: dict = {}
-        exec(src, ns)  # noqa: S102 - generated from numeric literals only
-        return ns["_poly"]
+        if self._fn is None:
+            names = symbols("v", self.nvars)
+            self._fn = compile_function(names, [], self._source(names))
+        return self._fn
 
     # -- substitution ------------------------------------------------------
 
@@ -386,13 +377,10 @@ class PolyMatrix:
         are the expressions of Polynomial.as_function (the same values)."""
         if self.cols != 1:
             raise ValueError("only a column compiles to a vector function")
-        names = [f"v{i}" for i in range(self.nvars)]
+        names = symbols("v", self.nvars)
         rows = ", ".join(self.entry(i, 0)._source(names) for i in range(self.rows))
-        unpack = f"    {', '.join(names)}, = x\n" if names else ""
-        src = f"def _column(x):\n{unpack}    return _array([{rows}])\n"
-        ns: dict = {"_array": np.array}
-        exec(src, ns)  # noqa: S102 - generated from numeric literals only
-        return ns["_column"]
+        unpack = [f"{', '.join(names)}, = x"] if names else []
+        return compile_function(["x"], unpack, f"_array([{rows}])", {"_array": np.array})
 
     def eval(self, point) -> np.ndarray:
         out = np.empty((self.rows, self.cols))
@@ -432,6 +420,47 @@ def jacobian(f: PolyMatrix) -> PolyMatrix:
         raise ValueError(f"vector field has {n} rows but {f.nvars} variables")
     ent = [[f.entry(i, 0).diff(j) for j in range(n)] for i in range(n)]
     return PolyMatrix(f.nvars, n, n, ent)
+
+
+# -- generated source ---------------------------------------------------------
+#
+# Straight-line Python over scalar names, shared by the polynomials, the laws
+# and the closed-loop field. Only + - * appear, each rounded once, so the
+# code gives the same bits on floats and, elementwise, on numpy arrays.
+
+
+def symbols(prefix: str, count: int) -> list[str]:
+    """Names prefix0, prefix1, ... for generated source."""
+    return [f"{prefix}{i}" for i in range(count)]
+
+
+def linear_source(coeffs, names: list[str]) -> str:
+    """sum_j coeffs[j]*names[j] as source; zero coefficients left out."""
+    parts = [f"{float(c)!r}*{v}" for c, v in zip(coeffs, names) if c != 0.0]
+    return " + ".join(parts) if parts else "0.0"
+
+
+def compile_function(args: list[str], body: list[str], result: str, namespace=None):
+    """Compile `def _f(*args): <body lines>; return <result>`."""
+    src = f"def _f({', '.join(args)}):\n" + "".join(f"    {ln}\n" for ln in body)
+    ns = dict(namespace or {})
+    exec(src + f"    return {result}\n", ns)  # noqa: S102 - generated from numeric literals only
+    return ns["_f"]
+
+
+def eval_rows(fn, widths: tuple[int, ...], *blocks) -> np.ndarray:
+    """Run a compiled function returning k values on blocks that are each a
+    point (d,) or rows (..., d), widths[i] = d arguments from block i: (k,)
+    for points, else (..., k), each row bit-equal to the call on its points."""
+    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    if [b.shape[-1:] for b in blocks] != [(d,) for d in widths]:
+        raise ValueError(f"inputs must have trailing dimensions {widths}")
+    shape = np.broadcast_shapes(*(b.shape[:-1] for b in blocks))
+    if not shape:
+        return np.array(fn(*[v for b in blocks for v in b.tolist()]))
+    args = [c for b in blocks for c in (np.moveaxis(b, -1, 0) if b.ndim > 1 else b.tolist())]
+    cols = fn(*args)
+    return np.stack([np.broadcast_to(c, shape) for c in cols], axis=-1)
 
 
 # -- text format -------------------------------------------------------------

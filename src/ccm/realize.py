@@ -6,14 +6,15 @@ are explicit:
     control:   u = u* + 1/2 (int_0^1 rho_c(xhat + s*Dc) ds) B' M_c Dc,
                Dc = x* - xhat, M_c = W_c^-1
     observer:  xbar = W_o-projection of xhat onto {x : C x = y}
-               dxhat/dt = f(xhat) + 1/2 (int_0^1 rho_o(xbar + s*Do) ds)
+               dxhat/dt = f(xhat) + B u + 1/2 (int_0^1 rho_o(xbar + s*Do) ds)
                           W_o^-1 C' (y - C xhat),   Do = xhat - xbar
 
-The one-dimensional rho integrals are polynomials in (start, offset) and
-are precompiled at law construction; evaluation agrees exactly with
-poly.line_integral_unit. The ISS disturbance gains (kappa_candidates) and
-the closed-form two-exponential envelope live here too; the bound ODE
-itself is integrated in sim (iss_bound), with the loop's RK4 step.
+The rho integrals are polynomials in (start, offset). Each law writes its
+formula once as straight-line source (`lines`), which `control` / `rhs` run
+on a point or on rows and sim's closed-loop field splices in, so all give
+the same bits. The ISS disturbance gains (kappa_candidates) and the
+closed-form two-exponential envelope live here too; the bound ODE itself is
+integrated in sim (iss_bound), with the loop's RK4 step.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 import numpy as np
 
 from .geom import MeasurementProjector
-from .poly import line_integral_form, line_integral_unit
+from .poly import compile_function, eval_rows, line_integral_form, linear_source, symbols
 from .synth import ControllerMetric, ObserverMetric, SystemModel
 
 
@@ -62,16 +63,24 @@ class ControlLaw:
             raise ValueError(
                 f"target is not an equilibrium: |f(x*) + B u*| = {np.abs(resid).max():.3e}"
             )
-        self.gain = model.B.T @ metric.M  # (m, n)
-        self.rho_form = line_integral_form(metric.rho)  # in (x_hat, dc)
-        self._rho_int = self.rho_form.as_function()
+        self._gain = model.B.T @ metric.M  # (m, n)
+        self._rho_form = line_integral_form(metric.rho)  # in (x_hat, dc)
+        hs, us = symbols("h", n), symbols("u", m)
+        self._control = compile_function(hs, self.lines(hs, us), f"({', '.join(us)},)")
+
+    def lines(self, hs: list[str], us: list[str]) -> list[str]:
+        """Source lines setting the names us to u at the estimate named hs
+        (they also set c0.., kc)."""
+        dc = symbols("c", len(hs))
+        body = [f"{dc[i]} = {float(self.x_star[i])!r} - {hs[i]}" for i in range(len(hs))]
+        body.append(f"kc = 0.5 * ({self._rho_form._source(hs + dc)})")
+        body += [f"{us[k]} = {float(self.u_star[k])!r} + kc * ({linear_source(self._gain[k], dc)})"
+                 for k in range(len(us))]
+        return body
 
     def control(self, x_hat, t: float = 0.0) -> np.ndarray:
         """u at one estimate (n,), or at each row of an (N, n) array."""
-        x_hat = np.asarray(x_hat, dtype=float)
-        dc = self.x_star - x_hat
-        r = np.asarray(self._rho_int(*x_hat.T, *dc.T))  # elementwise over rows
-        return self.u_star + (0.5 * r)[..., None] * (dc @ self.gain.T)
+        return eval_rows(self._control, (self.model.n,), x_hat)
 
 
 class ObserverLaw:
@@ -83,34 +92,33 @@ class ObserverLaw:
         self.metric = metric
         self.model = model
         self.projector = MeasurementProjector(model.C, metric.W)
-        self.winv_ct = np.linalg.solve(metric.W, model.C.T)  # (n, p)
-        self.rho_form = line_integral_form(metric.rho)  # in (xbar, do)
-        self._rho_int = self.rho_form.as_function()
+        self._winv_ct = np.linalg.solve(metric.W, model.C.T)  # (n, p)
+        self._rho_form = line_integral_form(metric.rho)  # in (xbar, do)
+        n, m, p = model.n, model.m, model.p
+        hs, ys, us, gs = symbols("h", n), symbols("y", p), symbols("u", m), symbols("g", n)
+        self._rhs = compile_function(hs + ys + us, self.lines(hs, ys, us, gs), f"({', '.join(gs)},)")
+
+    def lines(self, hs: list[str], ys: list[str], us: list[str], outs: list[str]) -> list[str]:
+        """Source lines setting the names outs to dxhat/dt at the estimate hs,
+        output ys and applied input us (they also set b0.., o0.., i0.., ko)."""
+        n, p, C = len(hs), len(ys), self.model.C
+        bs, ds, innov = symbols("b", n), symbols("o", n), symbols("i", p)
+        body = self.projector.lines(hs, ys, bs)
+        body += [f"{ds[i]} = {hs[i]} - {bs[i]}" for i in range(n)]
+        body.append(f"ko = 0.5 * ({self._rho_form._source(bs + ds)})")
+        body += [f"{innov[j]} = {ys[j]} - ({linear_source(C[j], hs)})" for j in range(p)]
+        drift = self.model.rhs_source(hs, us)
+        body += [f"{outs[i]} = ({drift[i]}) + ko * ({linear_source(self._winv_ct[i], innov)})"
+                 for i in range(n)]
+        return body
 
     def rhs(self, x_hat, y, t: float = 0.0, u=None) -> np.ndarray:
-        """Estimate dynamics. u is the known applied plant input; it enters
-        as the common drift term B u (zero for an autonomous plant)."""
-        x_hat = np.asarray(x_hat, dtype=float)
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        xbar = self.projector.project(x_hat, y)
-        do = x_hat - xbar
-        r = self._rho_int(*xbar, *do)
-        innov = y - self.model.C @ x_hat
-        drift = self.model.f_value(x_hat)
-        if u is not None:
-            drift = drift + self.model.B @ np.atleast_1d(np.asarray(u, dtype=float))
-        return drift + (0.5 * r) * (self.winv_ct @ innov)
-
-
-def control_reference(law: ControlLaw, x_hat, t: float = 0.0) -> np.ndarray:
-    """Quadrature-free reference evaluation via the generic line integral.
-
-    Same value as law.control; used to cross-check the precompiled path.
-    """
-    x_hat = np.asarray(x_hat, dtype=float)
-    dc = law.x_star - x_hat
-    r = line_integral_unit(law.metric.rho, x_hat, dc)
-    return law.u_star + (0.5 * r) * (law.model.B.T @ law.metric.M @ dc)
+        """Estimate dynamics at one (x_hat, y), or at rows of them. u is the
+        known applied plant input; it enters as the common drift term B u
+        (zero when omitted, for an autonomous plant)."""
+        n, m, p = self.model.n, self.model.m, self.model.p
+        u = np.zeros(m) if u is None else np.atleast_1d(u)
+        return eval_rows(self._rhs, (n, p, m), x_hat, np.atleast_1d(y), u)
 
 
 def two_exponential_bound(d0: float, lam: float, log_amp: float, alpha: float,

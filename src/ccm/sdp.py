@@ -465,18 +465,11 @@ class _FreeReduction:
             # fold the eliminated free variables into the objective
             self.c_red_base = c - self.A1.T @ u
             self.obj_shift = float(self.b1 @ u)
-        elif self.nfree > 0:
-            # free variables but no equalities: they only matter through c
+        else:
+            # no free variables, or no equalities: free ones only matter through c
             if np.max(np.abs(c_free), initial=0.0) > 0.0:
                 self.unbounded = True
                 return
-            self.r = 0
-            self.u = np.zeros(0)
-            A_red = A
-            b_red = b
-            self.c_red_base = c
-            self.obj_shift = 0.0
-        else:
             self.r = 0
             self.u = np.zeros(0)
             A_red = A

@@ -9,9 +9,11 @@ One run core builds the vector field and the trace for all three, and
 (u polynomial in xhat, xbar affine in (xhat, y), the rho path integrals
 precompiled polynomials), so each run generates the whole closed-loop
 vector field once as straight-line Python over floats
-(`_closed_loop_field`); it agrees with the per-point laws
-`ControlLaw.control` and `ObserverLaw.rhs` to rounding. After integration
-the control over the trace is one batched `ControlLaw.control` call.
+(`_closed_loop_field`). It writes only the plant and the measurement and
+splices in the laws' own source lines, the code that `ControlLaw.control`
+and `ObserverLaw.rhs` run. After integration the control over the trace is
+one batched `ControlLaw.control` call, bit-equal to the u that the field
+computes at the same states.
 
 Fixed-step classical RK4 is the default integrator (reproducibility over
 adaptivity); an adaptive RK45 backend is available for cross-checking on
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .poly import PolyMatrix, poly_from_text
+from .poly import PolyMatrix, compile_function, linear_source, poly_from_text, symbols
 from .realize import (
     ControlLaw,
     ISS_KAPPA_KEY,
@@ -317,54 +319,29 @@ def _run(model: SystemModel, cfg: SimConfig, claw: ControlLaw | None = None,
     )
 
 
-def _lincomb(coeffs, names) -> str:
-    """sum_j coeffs[j]*names[j] as source; zero coefficients left out."""
-    parts = [f"{float(c)!r}*{v}" for c, v in zip(coeffs, names) if c != 0.0]
-    return " + ".join(parts) if parts else "0.0"
-
-
 def _closed_loop_field(model: SystemModel, claw: ControlLaw, olaw: ObserverLaw | None):
     """The loop's vector field (t, z, e) -> zdot, generated once per run as
     straight-line Python over floats.
 
     With an observer, z = (x, xhat), e is the measurement noise row and
-    y = C x + e; without one, z = x and the controller reads x. Each line
-    mirrors ControlLaw.control, MeasurementProjector.project or
-    ObserverLaw.rhs, so the field agrees with those per-point laws to
-    rounding.
+    y = C x + e; without one, z = x and the controller reads x. The field
+    states the plant f(x) + B u and the measurement; u and dxhat/dt are the
+    laws' own source lines (ControlLaw.lines, ObserverLaw.lines).
     """
     n, m, p = model.n, model.m, model.p
-    xs = [f"x{i}" for i in range(n)]
-    hs = xs if olaw is None else [f"h{i}" for i in range(n)]
-    dc, us = [f"c{i}" for i in range(n)], [f"u{k}" for k in range(m)]
-    f_x = [model.f.entry(i, 0)._source(xs) for i in range(n)]
-    bu = [_lincomb(model.B[i], us) for i in range(n)]
+    xs, us = symbols("x", n), symbols("u", m)
+    hs = xs if olaw is None else symbols("h", n)
     body = [f"{', '.join(xs if olaw is None else xs + hs)}, = z.tolist()"]
-    body += [f"{dc[i]} = {float(claw.x_star[i])!r} - {hs[i]}" for i in range(n)]
-    body.append(f"kc = 0.5 * ({claw.rho_form._source(hs + dc)})")
-    body += [f"{us[k]} = {float(claw.u_star[k])!r} + kc * ({_lincomb(claw.gain[k], dc)})"
-             for k in range(m)]
-    out = [f"({f_x[i]}) + ({bu[i]})" for i in range(n)]
+    body += claw.lines(hs, us)
+    out = model.rhs_source(xs, us)
     if olaw is not None:
-        es, ys = [f"e{j}" for j in range(p)], [f"y{j}" for j in range(p)]
-        bs, ds = [f"b{i}" for i in range(n)], [f"o{i}" for i in range(n)]
-        innov = [f"i{j}" for j in range(p)]
-        proj = olaw.projector
+        es, ys, gs = symbols("e", p), symbols("y", p), symbols("g", n)
         body.append(f"{', '.join(es)}, = e")
-        body += [f"{ys[j]} = ({_lincomb(model.C[j], xs)}) + {es[j]}" for j in range(p)]
-        body += [f"{bs[i]} = ({_lincomb(proj.from_xhat[i], hs)}) + ({_lincomb(proj.from_y[i], ys)})"
-                 for i in range(n)]
-        body += [f"{ds[i]} = {hs[i]} - {bs[i]}" for i in range(n)]
-        body.append(f"ko = 0.5 * ({olaw.rho_form._source(bs + ds)})")
-        body += [f"{innov[j]} = {ys[j]} - ({_lincomb(model.C[j], hs)})" for j in range(p)]
-        f_h = [model.f.entry(i, 0)._source(hs) for i in range(n)]
-        out += [f"(({f_h[i]}) + ({bu[i]})) + ko * ({_lincomb(olaw.winv_ct[i], innov)})"
-                for i in range(n)]
-    body.append(f"return _array([{', '.join(out)}])")
-    src = "def _field(t, z, e=_NOISE_FREE):\n" + "".join(f"    {ln}\n" for ln in body)
-    ns: dict = {"_array": np.array, "_NOISE_FREE": (0.0,) * p}
-    exec(src, ns)  # noqa: S102 - generated from numeric literals only
-    return ns["_field"]
+        body += [f"{ys[j]} = ({linear_source(model.C[j], xs)}) + {es[j]}" for j in range(p)]
+        body += olaw.lines(hs, ys, us, gs)
+        out += gs
+    return compile_function(["t", "z", "e=_NOISE_FREE"], body, f"_array([{', '.join(out)}])",
+                            {"_array": np.array, "_NOISE_FREE": (0.0,) * p})
 
 
 def iss_bound(metric: ControllerMetric, d0: float, disturbance_env, T: float,

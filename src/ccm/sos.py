@@ -284,19 +284,6 @@ def gram_basis(constraint: SosConstraint) -> list[Monomial]:
     return basis
 
 
-def full_monomial_basis(constraint: SosConstraint) -> list[Monomial]:
-    """Naive basis over all variables; cross-encoding oracle for the
-    structured quadratic-form reduction."""
-    deg = constraint.expression.degree()
-    if deg < 0:
-        return []
-    if deg % 2 == 1:
-        raise OddDegreeError(
-            f"constraint {constraint.name!r} has odd total degree {deg}"
-        )
-    return monomials_upto(constraint.expression.nvars, deg // 2)
-
-
 @dataclass
 class CompileInfo:
     gram_blocks: dict[str, tuple[str, list[Monomial]]] = field(default_factory=dict)
@@ -322,7 +309,6 @@ def compile(
     constraints: list[SosConstraint],
     bounds: list[MatrixBound] | None = None,
     params: list[object] | None = None,
-    encoding: str = "structured",
 ) -> tuple[SdpProblem, CompileInfo]:
     """Compile SOS constraints plus matrix interval bounds to an SdpProblem.
 
@@ -331,8 +317,6 @@ def compile(
     blocks and coefficient-matching equalities encode the SOS memberships.
     """
     bounds = bounds or []
-    if encoding not in ("structured", "full"):
-        raise ValueError(f"unknown encoding {encoding!r}")
 
     names = set()
     for c in constraints:
@@ -404,21 +388,15 @@ def compile(
             prob.add_scalar(p.name, "free")
             info.n_scalar_vars += 1
 
-    def sdp_ref(key: ParamKey):
-        return key if len(key) == 1 else (key[0], key[1], key[2])
-
     for c in constraints:
-        if c.kind is SosKind.QUADRATIC_FORM and encoding == "full":
-            basis = full_monomial_basis(c)
-        else:
-            basis = gram_basis(c)
+        basis = gram_basis(c)
         gname = f"gram.{c.name}"
         dim = len(basis)
         if dim == 0:
             # zero expression: nothing to certify beyond exact zero coefficients
             for m, e in c.expression.terms.items():
                 prob.add_equality(
-                    {sdp_ref(k): -v for k, v in e.lin.items()},
+                    {k: -v for k, v in e.lin.items()},
                     e.const,
                     name=f"{c.name}.{_mono_name(m)}",
                 )
@@ -443,8 +421,7 @@ def compile(
                 terms[(gname, bi, ai)] = terms.get((gname, bi, ai), 0.0) + mult
             e = c.expression.terms.get(m, AffExpr())
             for k, v in e.lin.items():
-                ref = sdp_ref(k)
-                terms[ref] = terms.get(ref, 0.0) - v
+                terms[k] = terms.get(k, 0.0) - v
             prob.add_equality(terms, e.const, name=f"{c.name}.{_mono_name(m)}")
             info.n_equalities += 1
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .poly import PolyMatrix, Polynomial, jacobian, poly_from_text, poly_to_text
+from .poly import PolyMatrix, Polynomial, jacobian, linear_source, poly_from_text, poly_to_text
 from .sdp import SdpProblem, SdpSolution, SdpStatus, SolveOptions, solve
 from .sos import (
     CompileInfo,
@@ -43,6 +43,10 @@ from .sos import (
 # factor on lambda*W in the synthesis inequality; 2.0 makes the certified
 # exponential rate of the closed loop equal to lambda
 RATE_MULTIPLIER = 2.0
+
+# largest accepted multiplier degree: the Gram blocks grow combinatorially
+# with it (degree 6 on two states already takes about 0.1 s per program)
+MAX_RHO_DEGREE = 10
 
 
 @dataclass
@@ -70,6 +74,12 @@ class SystemModel:
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} must be finite")
 
+    def __eq__(self, other):
+        if not isinstance(other, SystemModel):
+            return NotImplemented
+        return (self.f == other.f and np.array_equal(self.B, other.B)
+                and np.array_equal(self.C, other.C))
+
     @property
     def n(self) -> int:
         return self.f.rows
@@ -90,6 +100,11 @@ class SystemModel:
         """f compiled once per model: f_value(x) -> (n,) array. The
         simulation loop and the observer law both evaluate f through it."""
         return self.f.as_function()
+
+    def rhs_source(self, xs: list[str], us: list[str]) -> list[str]:
+        """f(x) + B u as one source expression per state, in the names xs, us."""
+        return [f"({self.f.entry(i, 0)._source(xs)}) + ({linear_source(self.B[i], us)})"
+                for i in range(self.n)]
 
 
 class Role(enum.Enum):
@@ -147,16 +162,9 @@ class ControllerMetric(ContractionMetric):
         L = np.linalg.cholesky(self.M)
         return L.T
 
-    def metric_matrix(self) -> np.ndarray:
-        return self.M
-
 
 class ObserverMetric(ContractionMetric):
-    role = Role.OBSERVER
-
-    def metric_matrix(self) -> np.ndarray:
-        # for the observer, W itself is the contraction metric
-        return self.W
+    role = Role.OBSERVER  # for the observer, W itself is the contraction metric
 
 
 @dataclass
@@ -204,6 +212,8 @@ def metric_constraints(
         raise ValueError("lambda must be positive")
     if not (0 < alpha1 <= alpha2):
         raise ValueError("need 0 < alpha1 <= alpha2")
+    if not 0 <= rho_degree <= MAX_RHO_DEGREE:
+        raise ValueError(f"rho_degree must be in [0, {MAX_RHO_DEGREE}], got {rho_degree}")
     n = A.rows
     G = np.atleast_2d(np.asarray(G, dtype=float))
     GGt = G @ G.T
@@ -432,11 +442,6 @@ def verify_pointwise(
     k = int(np.argmax(worst_per_point))
     max_violation = float(worst_per_point[k])
     return PointwiseCheck(max_violation, pts[k], max_violation <= tol, pts.shape[0])
-
-
-def with_rate(metric: ContractionMetric, lam: float) -> ContractionMetric:
-    """Same W and rho re-labeled with a different claimed rate."""
-    return replace(metric, lam=lam)
 
 
 # -- serialization -------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import ccm.synth
 from ccm.cli import (
     ConfigError,
     EXIT_INFEASIBLE,
@@ -14,6 +15,7 @@ from ccm.cli import (
     resolve_state,
 )
 from ccm.sim import moore_greitzer
+from ccm.synth import MAX_RHO_DEGREE
 
 GOOD_CONFIG = """\
 [model]
@@ -166,6 +168,19 @@ def test_synthesize_non_finite_lambda_exit(tmp_path, capsys):
     cpath.write_text(GOOD_CONFIG.replace("lambda = 0.1", "lambda = nan", 1))
     assert main(["synthesize", "-c", str(cpath), "-o", str(tmp_path)]) == EXIT_USAGE
     assert "error: lambda must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("degree", [-2, MAX_RHO_DEGREE + 1])
+def test_synthesize_rho_degree_out_of_range_exit(tmp_path, capsys, monkeypatch, degree):
+    # rejected before any program is built: building one would fail the test
+    monkeypatch.setattr(ccm.synth, "monomials_upto",
+                        lambda *a: pytest.fail("program built for a rejected rho_degree"))
+    cpath = tmp_path / "deg.cfg"
+    cpath.write_text(GOOD_CONFIG.replace("alpha2 = 1.3\n", f"alpha2 = 1.3\nrho_degree = {degree}\n", 1))
+    assert main(["synthesize", "-c", str(cpath), "-o", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: rho_degree must be in [0, {MAX_RHO_DEGREE}], got {degree}" in err
+    assert not (tmp_path / "controller.metric.infeasible").exists()
 
 
 def test_verify_passes_fresh_metrics(metric_dir, capsys):

@@ -136,6 +136,18 @@ def test_eval_many_matches_scalar():
     np.testing.assert_allclose(p.eval_many(pts), [p(x) for x in pts], rtol=1e-15)
 
 
+@settings(max_examples=60, deadline=None)
+@given(polys(nvars=3, max_degree=5, max_terms=8), st.lists(points(3), min_size=1, max_size=6))
+def test_call_eval_many_and_as_function_bit_equal(p, pts):
+    # one compiled source behind all three: the same bits, not just close
+    pts = np.array(pts)
+    f = p.as_function()
+    per_point = np.array([p(x) for x in pts])
+    assert np.array_equal(per_point, p.eval_many(pts))
+    assert np.array_equal(per_point, [f(*x) for x in pts])
+    assert p.as_function() is f
+
+
 def test_as_function_matches_eval():
     p = P("2*x1^2*x2 - x2 + 0.125")
     f = p.as_function()

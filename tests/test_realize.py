@@ -4,17 +4,25 @@ import numpy as np
 import pytest
 
 from ccm.geom import MeasurementProjector
-from ccm.poly import Polynomial
+from ccm.poly import Polynomial, line_integral_unit
 from ccm.realize import (
     ControlLaw,
     ISS_KAPPA_KEY,
     ObserverLaw,
-    control_reference,
     kappa_candidates,
     two_exponential_bound,
 )
 from ccm.sim import iss_bound
 from ccm.synth import ControllerMetric, ObserverMetric
+
+
+def control_reference(law, x_hat):
+    """The control law through the generic exact line integral: an oracle
+    for the compiled law."""
+    x_hat = np.asarray(x_hat, dtype=float)
+    dc = law.x_star - x_hat
+    r = line_integral_unit(law.metric.rho, x_hat, dc)
+    return law.u_star + (0.5 * r) * (law.model.B.T @ law.metric.M @ dc)
 
 
 def simpson(g, n=4001):
@@ -90,6 +98,16 @@ def test_control_linear_in_error_for_constant_rho(mg_model):
         lhs = claw.control(-(s * a + t * b))
         rhs = s * claw.control(-a) + t * claw.control(-b)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+def test_laws_reject_wrong_dimensions(laws):
+    claw, olaw = laws
+    with pytest.raises(ValueError, match="trailing dimensions"):
+        claw.control(np.zeros(3))
+    with pytest.raises(ValueError, match="trailing dimensions"):
+        olaw.rhs(np.zeros(2), np.zeros(2))
+    with pytest.raises(ValueError, match="trailing dimensions"):
+        olaw.projector.project(np.zeros((4, 3)), np.zeros((4, 1)))
 
 
 def test_target_must_be_equilibrium(mg_model, metrics_slow):

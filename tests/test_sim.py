@@ -311,6 +311,23 @@ def test_compiled_field_matches_laws_nonzero_target(mg_model, metrics_slow):
     _check_field_against_laws(mg_model, claw, ObserverLaw(metrics_slow[1], mg_model))
 
 
+def test_field_applies_the_laws_bit_for_bit():
+    # with f = 0 and B = I the plant rows of the field are u itself, so the
+    # field must hold exactly the laws' values, not values close to them
+    zero = Polynomial.zero(2)
+    model = SystemModel(PolyMatrix.column([zero, zero]), np.eye(2), np.array([[1.0, 0.0]]))
+    cmetric, ometric = _random_metrics(np.random.default_rng(5), 2, 2)
+    claw, olaw = ControlLaw(cmetric, model), ObserverLaw(ometric, model)
+    sf, of = _closed_loop_field(model, claw, None), _closed_loop_field(model, claw, olaw)
+    rng = np.random.default_rng(6)
+    for _ in range(25):
+        x, xh, e = rng.uniform(-1.5, 1.5, 2), rng.uniform(-1.5, 1.5, 2), rng.normal(0, 0.3, 1)
+        u = claw.control(xh)
+        assert np.array_equal(sf(0.0, x), claw.control(x))
+        want = np.concatenate([u, olaw.rhs(xh, model.C @ x + e, 0.0, u)])
+        assert np.array_equal(of(0.0, np.concatenate([x, xh]), e.tolist()), want)
+
+
 def test_batched_control_matches_per_point(mg_model, laws_slow):
     claw, _ = laws_slow
     pts = np.random.default_rng(3).uniform(-2.0, 2.0, (200, 2))
@@ -318,9 +335,36 @@ def test_batched_control_matches_per_point(mg_model, laws_slow):
     assert batched.shape == (200, 1)
     per_point = np.stack([claw.control(p) for p in pts])
     assert _rel_err(batched, per_point) <= 1e-14
+    assert np.array_equal(batched, per_point)  # one compiled source for both
+    assert np.array_equal(claw.control(pts.reshape(20, 10, 2)), batched.reshape(20, 10, 1))
     const = ControlLaw(ControllerMetric(W=np.eye(2), rho=Polynomial.constant(2, 2.0), lam=0.5,
                                         alpha1=0.1, alpha2=2.0), mg_model)
     assert _rel_err(const.control(pts), np.stack([const.control(p) for p in pts])) <= 1e-14
+    assert np.array_equal(const.control(pts), np.stack([const.control(p) for p in pts]))
+
+
+def test_batched_observer_and_projection_match_per_point(laws_slow):
+    _, olaw = laws_slow
+    rng = np.random.default_rng(4)
+    xh, y, u = rng.uniform(-2.0, 2.0, (200, 2)), rng.normal(size=(200, 1)), rng.normal(size=(200, 1))
+    per_point = np.stack([olaw.rhs(a, b, 0.0, c) for a, b, c in zip(xh, y, u)])
+    assert np.array_equal(olaw.rhs(xh, y, 0.0, u), per_point)
+    proj = olaw.projector
+    assert np.array_equal(proj.project(xh, y), np.stack([proj.project(a, b) for a, b in zip(xh, y)]))
+
+
+@pytest.mark.parametrize("mode,sigma", [("state_fb", 0.0), ("output_fb", 0.0), ("output_fb", 0.3)])
+def test_trace_u_is_the_law_at_each_state(mg_model, laws_slow, lc_state, mode, sigma):
+    # the loop's field and ControlLaw.control run the same lines, so the
+    # recorded u is the control at each recorded estimate, bit for bit
+    claw, olaw = laws_slow
+    cfg = SimConfig(dt=1e-3, T=0.5, x0=lc_state, xhat0=np.zeros(2), noise_std=sigma, seed=2)
+    if mode == "state_fb":
+        tr = run_state_feedback(mg_model, claw, cfg)
+    else:
+        tr = run_output_feedback(mg_model, claw, olaw, cfg)
+    assert np.array_equal(tr.u, claw.control(tr.x_hat))
+    assert np.array_equal(tr.u, np.stack([claw.control(p) for p in tr.x_hat]))
 
 
 def _reference_loop(model, claw, olaw, cfg):

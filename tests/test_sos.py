@@ -200,10 +200,15 @@ def test_structured_and_full_encodings_agree():
     # infeasible: delta' diag(x^2 - 1, 1) delta  (indefinite in x)
     cases.append((P("x1^2*x3^2 - x3^2 + x4^2", nvars=4), False))
     for expr, want_feasible in cases:
-        con = SosConstraint("q", ParamPoly.from_poly(expr), kind=SosKind.QUADRATIC_FORM, ndelta=2)
+        structured = SosConstraint("q", ParamPoly.from_poly(expr),
+                                   kind=SosKind.QUADRATIC_FORM, ndelta=2)
+        # the full encoding: the same expression as a scalar-kind constraint,
+        # whose Gram basis is every monomial up to half the total degree
+        full = SosConstraint("q", ParamPoly.from_poly(expr))
+        assert gram_basis(full) == monomials_upto(4, expr.degree() // 2)
         statuses = []
-        for enc in ("structured", "full"):
-            prob, _ = sos_compile([con], encoding=enc)
+        for con in (structured, full):
+            prob, _ = sos_compile([con])
             statuses.append(solve(prob).status)
         assert statuses[0] == statuses[1]
         assert (statuses[0] is SdpStatus.FEASIBLE) == want_feasible

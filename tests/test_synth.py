@@ -8,6 +8,7 @@ from ccm.poly import PolyMatrix, Polynomial, poly_from_text
 from ccm.sdp import SolveOptions, problem_to_text
 from ccm.sos import check_certificate, compile as sos_compile
 from ccm.synth import (
+    MAX_RHO_DEGREE,
     ControllerMetric,
     Role,
     SynthStatus,
@@ -19,7 +20,6 @@ from ccm.synth import (
     metric_to_text,
     synthesize,
     verify_pointwise,
-    with_rate,
 )
 
 
@@ -47,6 +47,28 @@ def test_synthesize_rejects_non_finite_parameters(role):
                        ((1.0, 0.1, np.nan), "alpha2")):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             synthesize(model, role, *args)
+
+
+@pytest.mark.parametrize("role", [Role.CONTROLLER, Role.OBSERVER])
+def test_synthesize_rejects_rho_degree_out_of_range(role):
+    for degree in (-2, -1, MAX_RHO_DEGREE + 1):
+        with pytest.raises(ValueError, match=r"rho_degree must be in \[0, "):
+            synthesize(scalar_model(), role, 1.0, 0.1, 1.0, degree)
+
+
+def test_system_model_equality():
+    from ccm.sim import moore_greitzer
+
+    assert moore_greitzer() == moore_greitzer()
+    assert scalar_model() == scalar_model()
+    mg = moore_greitzer()
+    assert not mg == SystemModel(mg.f, mg.B, np.array([[1.0, 0.0]]))
+    assert mg != SystemModel(mg.f, np.array([[1.0], [0.0]]), mg.C)
+    assert mg != SystemModel(mg.f, np.array([[0.0, 0.0], [1.0, 0.0]]), mg.C)  # B shape
+    other_f = PolyMatrix.column([poly_from_text("-x2 - 1.5*x1^2", 2), poly_from_text("x1", 2)])
+    assert mg != SystemModel(other_f, mg.B, mg.C)
+    assert scalar_model() != scalar_model(b=2.0)
+    assert mg != scalar_model() and mg != "model"
 
 
 # -- hand-solvable scalar programs ------------------------------------------------
@@ -234,7 +256,7 @@ def test_rate_monotonicity_by_reverification(mg_model, metrics_medium):
     cmetric, ometric = metrics_medium
     for metric in (cmetric, ometric):
         for weaker in (1.0, 0.5, 0.1):
-            chk = verify_pointwise(with_rate(metric, weaker), mg_model)
+            chk = verify_pointwise(metric, mg_model, lam=weaker)
             assert chk.passed, (weaker, chk.max_violation)
 
 
