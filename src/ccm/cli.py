@@ -256,7 +256,8 @@ def _synthesis_report_lines(role: str, res, metric) -> list[str]:
         lines.append(
             "iss_gain_candidates = "
             + ", ".join(f"{k}={v!r}" for k, v in sorted(kc.items()))
-            + "  # artifact uses inv_sqrt_alpha1"
+            + "  # only inv_sqrt_alpha1 is a valid ISS gain (W >= alpha1*I);"
+            " the other two are shown for comparison"
         )
         for label, cert in (
             ("lmi", metric.lmi_certificate), ("rho", metric.rho_certificate)

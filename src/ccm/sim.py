@@ -4,16 +4,17 @@ The three loop modes are one loop with parts switched off (the separation
 principle): plant + observer + controller for output feedback, the
 controller fed the true state for state feedback, u = 0 for the open loop.
 One run core builds the vector field and the trace for all three, and
-`integrate` is the one RK4 loop. The open loop steps the model's compiled
-`SystemModel.f_value`. With constant metrics the feedback loop is explicit
-(u polynomial in xhat, xbar affine in (xhat, y), the rho path integrals
-precompiled polynomials), so each run generates the whole closed-loop
-vector field once as straight-line Python over floats
-(`_closed_loop_field`). It writes only the plant and the measurement and
-splices in the laws' own source lines, the code that `ControlLaw.control`
-and `ObserverLaw.rhs` run. After integration the control over the trace is
-one batched `ControlLaw.control` call, bit-equal to the u that the field
-computes at the same states.
+`integrate` is the one RK4 loop. With constant metrics the feedback loop is
+explicit (u polynomial in xhat, xbar affine in (xhat, y), the rho path
+integrals precompiled polynomials), so each run generates its whole vector
+field once as straight-line Python over floats (`_closed_loop_field`). It
+writes only the plant and the measurement and splices in the laws' own
+source lines, the code that `ControlLaw.control` and `ObserverLaw.rhs` run;
+the open loop is the same generator with both laws off, f(x) alone. The RK4
+stages are combined per entry on Python floats, which rounds exactly like
+the same operations on numpy float64 arrays. After integration the control
+over the trace is one batched `ControlLaw.control` call, bit-equal to the u
+that the field computes at the same states.
 
 Fixed-step classical RK4 is the default integrator (reproducibility over
 adaptivity); an adaptive RK45 backend is available for cross-checking on
@@ -204,20 +205,25 @@ def limit_cycle_state(dt: float = 1e-3, settle: float = 30.0) -> np.ndarray:
 
 
 def _rk4_step(rhs, t, z, dt, *args):
+    """One classical RK4 step of a list of floats, combined per entry as
+    z + (dt/2)*k and z + (dt/6)*(k1 + 2*k2 + 2*k3 + k4): the same IEEE
+    operations, and so the same bits, as that expression on float64 arrays."""
+    h2, h6 = dt / 2, dt / 6
     k1 = rhs(t, z, *args)
-    k2 = rhs(t + dt / 2, z + (dt / 2) * k1, *args)
-    k3 = rhs(t + dt / 2, z + (dt / 2) * k2, *args)
-    k4 = rhs(t + dt, z + dt * k3, *args)
-    return z + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    k2 = rhs(t + h2, [a + h2 * b for a, b in zip(z, k1)], *args)
+    k3 = rhs(t + h2, [a + h2 * b for a, b in zip(z, k2)], *args)
+    k4 = rhs(t + dt, [a + dt * b for a, b in zip(z, k3)], *args)
+    return [a + h6 * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
 
 
 def integrate(rhs, x0, cfg: SimConfig, noise=None) -> tuple[np.ndarray, np.ndarray]:
     """Integrate xdot = rhs(t, x) on the fixed output grid of cfg.
 
-    Returns (t, states) with states[k] at t[k]; fixed-step RK4 or adaptive
-    RK45 (dense output sampled on the grid). Aborts on non-finite states.
-    With noise (RK4 only), one row per step: every stage of step k calls
-    rhs(t, x, noise[k]).
+    rhs receives the state as a list of floats and may return any sequence
+    of floats. Returns (t, states) with states[k] at t[k]; fixed-step RK4
+    or adaptive RK45 (dense output sampled on the grid). Aborts on
+    non-finite states. With noise (RK4 only), one row per step: every stage
+    of step k calls rhs(t, x, noise[k]).
     """
     ts = cfg.time_grid()
     x0 = np.asarray(x0, dtype=float)
@@ -225,7 +231,7 @@ def integrate(rhs, x0, cfg: SimConfig, noise=None) -> tuple[np.ndarray, np.ndarr
         if noise is not None:
             raise ValueError("noise injection requires the fixed-step rk4 integrator")
         sol = solve_ivp(
-            rhs, (0.0, cfg.T), x0, method="RK45", t_eval=ts,
+            lambda t, y: rhs(t, y.tolist()), (0.0, cfg.T), x0, method="RK45", t_eval=ts,
             rtol=cfg.rk45_rtol, atol=cfg.rk45_atol,
         )
         if not sol.success:
@@ -236,13 +242,14 @@ def integrate(rhs, x0, cfg: SimConfig, noise=None) -> tuple[np.ndarray, np.ndarr
         return ts, states
     states = np.empty((len(ts), x0.size))
     states[0] = x0
-    z = x0.copy()
+    z, dt = x0.tolist(), cfg.dt
     for k in range(cfg.nsteps):
+        # k * dt is ts[k] to the bit, without a list of every grid time
         args = () if noise is None else (noise[k],)
-        z = _rk4_step(rhs, ts[k], z, cfg.dt, *args)
-        if not np.isfinite(z).all():
+        z = _rk4_step(rhs, k * dt, z, dt, *args)
+        if not all(map(math.isfinite, z)):
             raise SimulationError(
-                f"non-finite state at t={ts[k + 1]:.6g}: {z}"
+                f"non-finite state at t={(k + 1) * dt:.6g}: {np.array(z)}"
             )
         states[k + 1] = z
     return ts, states
@@ -275,7 +282,7 @@ def _run(model: SystemModel, cfg: SimConfig, claw: ControlLaw | None = None,
          olaw: ObserverLaw | None = None) -> SimTrace:
     """Plant + observer + controller, with the observer switched off for
     state feedback (the controller reads x) and both laws for the open loop."""
-    n, B, C, f = model.n, model.B, model.C, model.f_value
+    n, B, C = model.n, model.B, model.C
     z0, noise, e = cfg.x0, None, None
     if olaw is not None:
         sigma = cfg.noise_std
@@ -286,12 +293,7 @@ def _run(model: SystemModel, cfg: SimConfig, claw: ControlLaw | None = None,
         z0 = np.concatenate([cfg.x0, cfg.xhat0])
         if cfg.integrator == "rk4":
             noise = e.tolist()
-    if claw is None:
-        rhs = lambda t, z: f(z)
-    else:
-        rhs = _closed_loop_field(model, claw, olaw)
-
-    ts, zs = integrate(rhs, z0, cfg, noise)
+    ts, zs = integrate(_closed_loop_field(model, claw, olaw), z0, cfg, noise)
     N = len(ts)
     xs = zs[:, :n]
     if claw is None:
@@ -319,20 +321,23 @@ def _run(model: SystemModel, cfg: SimConfig, claw: ControlLaw | None = None,
     )
 
 
-def _closed_loop_field(model: SystemModel, claw: ControlLaw, olaw: ObserverLaw | None):
+def _closed_loop_field(model: SystemModel, claw: ControlLaw | None,
+                       olaw: ObserverLaw | None):
     """The loop's vector field (t, z, e) -> zdot, generated once per run as
-    straight-line Python over floats.
+    straight-line Python over a float sequence z, returning a list.
 
     With an observer, z = (x, xhat), e is the measurement noise row and
-    y = C x + e; without one, z = x and the controller reads x. The field
-    states the plant f(x) + B u and the measurement; u and dxhat/dt are the
-    laws' own source lines (ControlLaw.lines, ObserverLaw.lines).
+    y = C x + e; without one, z = x and the controller reads x; without a
+    controller the field is f(x) alone, with no B u terms. The field states
+    the plant and the measurement; u and dxhat/dt are the laws' own source
+    lines (ControlLaw.lines, ObserverLaw.lines).
     """
     n, m, p = model.n, model.m, model.p
-    xs, us = symbols("x", n), symbols("u", m)
+    xs, us = symbols("x", n), None if claw is None else symbols("u", m)
     hs = xs if olaw is None else symbols("h", n)
-    body = [f"{', '.join(xs if olaw is None else xs + hs)}, = z.tolist()"]
-    body += claw.lines(hs, us)
+    body = [f"{', '.join(xs if olaw is None else xs + hs)}, = z"]
+    if claw is not None:
+        body += claw.lines(hs, us)
     out = model.rhs_source(xs, us)
     if olaw is not None:
         es, ys, gs = symbols("e", p), symbols("y", p), symbols("g", n)
@@ -340,8 +345,8 @@ def _closed_loop_field(model: SystemModel, claw: ControlLaw, olaw: ObserverLaw |
         body += [f"{ys[j]} = ({linear_source(model.C[j], xs)}) + {es[j]}" for j in range(p)]
         body += olaw.lines(hs, ys, us, gs)
         out += gs
-    return compile_function(["t", "z", "e=_NOISE_FREE"], body, f"_array([{', '.join(out)}])",
-                            {"_array": np.array, "_NOISE_FREE": (0.0,) * p})
+    return compile_function(["t", "z", "e=_NOISE_FREE"], body, f"[{', '.join(out)}]",
+                            {"_NOISE_FREE": (0.0,) * p})
 
 
 def iss_bound(metric: ControllerMetric, d0: float, disturbance_env, T: float,
@@ -363,11 +368,13 @@ def iss_bound(metric: ControllerMetric, d0: float, disturbance_env, T: float,
     stage_t = np.concatenate([ts[:-1], ts[:-1] + dt / 2, ts[:-1] + dt])
     env = np.broadcast_to(np.asarray(disturbance_env(stage_t), dtype=float), stage_t.shape)
     forcing = dict(zip(stage_t.tolist(), (kappa * env).tolist()))
-    rhs = lambda t, v: -lam * v + forcing[t]
+    rhs = lambda t, v: [-lam * v[0] + forcing[t]]
     d = np.empty(nsteps + 1)
-    d[0] = v = float(d0)
+    v = [float(d0)]
+    d[0] = v[0]
     for k, t in enumerate(ts[:-1].tolist()):
-        d[k + 1] = v = _rk4_step(rhs, t, v, dt)
+        v = _rk4_step(rhs, t, v, dt)
+        d[k + 1] = v[0]
     return ts, d
 
 

@@ -97,14 +97,19 @@ class SystemModel:
 
     @cached_property
     def f_value(self):
-        """f compiled once per model: f_value(x) -> (n,) array. The
-        simulation loop and the observer law both evaluate f through it."""
+        """f compiled once per model: f_value(x) -> (n,) array, with the
+        entry expressions of rhs_source. For point checks such as the
+        equilibrium test of a control target; the loops run generated
+        source instead."""
         return self.f.as_function()
 
-    def rhs_source(self, xs: list[str], us: list[str]) -> list[str]:
-        """f(x) + B u as one source expression per state, in the names xs, us."""
-        return [f"({self.f.entry(i, 0)._source(xs)}) + ({linear_source(self.B[i], us)})"
-                for i in range(self.n)]
+    def rhs_source(self, xs: list[str], us: list[str] | None = None) -> list[str]:
+        """f(x) + B u as one source expression per state, in the names xs, us;
+        f(x) alone when us is None."""
+        fs = [self.f.entry(i, 0)._source(xs) for i in range(self.n)]
+        if us is None:
+            return fs
+        return [f"({fi}) + ({linear_source(self.B[i], us)})" for i, fi in enumerate(fs)]
 
 
 class Role(enum.Enum):

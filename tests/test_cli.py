@@ -135,6 +135,7 @@ def test_synthesize_writes_metrics_and_report(metric_dir):
     report = (metric_dir / "synthesis_report.txt").read_text()
     assert "status = feasible" in report
     assert "iss_gain_candidates" in report
+    assert "only inv_sqrt_alpha1 is a valid ISS gain" in report
     assert "scalar variables" in report  # problem size line
 
 

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from ccm import sim
 from ccm.poly import PolyMatrix, Polynomial, poly_from_text
 from ccm.realize import (
     ControlLaw,
@@ -37,26 +39,26 @@ from ccm.synth import ControllerMetric, ObserverMetric, SystemModel
 
 def test_rk4_exponential_decay():
     cfg = SimConfig(dt=1e-3, T=1.0, x0=np.array([1.0]))
-    ts, xs = integrate(lambda t, x: -x, np.array([1.0]), cfg)
+    ts, xs = integrate(lambda t, x: [-v for v in x], np.array([1.0]), cfg)
     assert xs[-1, 0] == pytest.approx(np.exp(-1.0), abs=1e-6)
 
 
 def test_rk45_exponential_decay():
     cfg = SimConfig(dt=1e-2, T=1.0, integrator="rk45", x0=np.array([1.0]))
-    ts, xs = integrate(lambda t, x: -x, np.array([1.0]), cfg)
+    ts, xs = integrate(lambda t, x: [-v for v in x], np.array([1.0]), cfg)
     assert xs[-1, 0] == pytest.approx(np.exp(-1.0), abs=1e-8)
 
 
 def test_zero_rhs_constant_trajectory():
     cfg = SimConfig(dt=0.1, T=2.0)
-    ts, xs = integrate(lambda t, x: np.zeros_like(x), np.array([3.0, -1.0]), cfg)
+    ts, xs = integrate(lambda t, x: [0.0 for _ in x], np.array([3.0, -1.0]), cfg)
     assert np.all(xs == xs[0])
 
 
 def test_record_count_fixed_step():
     for dt, T in [(1e-3, 60.0), (0.25, 1.0), (0.1, 0.9999999)]:
         cfg = SimConfig(dt=dt, T=T)
-        ts, xs = integrate(lambda t, x: -x, np.array([1.0]), cfg)
+        ts, xs = integrate(lambda t, x: [-v for v in x], np.array([1.0]), cfg)
         assert len(ts) == cfg.nsteps + 1
         assert len(ts) == int(np.floor(T / dt + 1e-9)) + 1
 
@@ -90,7 +92,7 @@ def test_divergence_aborts_with_diagnostic():
     cfg = SimConfig(dt=0.5, T=30.0, x0=np.array([1.0]))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SimulationError, match="non-finite"):
-            integrate(lambda t, x: x**3, np.array([1.0]), cfg)
+            integrate(lambda t, x: [v * v * v for v in x], np.array([1.0]), cfg)
 
 
 # -- open loop --------------------------------------------------------------------
@@ -428,6 +430,89 @@ def test_trajectory_matches_per_call_reference(mg_model, laws_slow, lc_state, mo
     assert _rel_err(tr.d_bound, d_bound) <= 1e-9
     xi = np.random.default_rng(cfg.seed).standard_normal((cfg.nsteps + 1, mg_model.p))
     assert np.array_equal(tr.y, tr.y_clean + sigma * xi)
+
+
+# -- float stage combination against the numpy one ---------------------------------
+
+
+def _numpy_rk4_step(rhs, t, z, dt, *args):
+    """The RK4 stage combination over numpy arrays that the float path
+    replaced, kept verbatim as the oracle."""
+    k1 = rhs(t, z, *args)
+    k2 = rhs(t + dt / 2, z + (dt / 2) * k1, *args)
+    k3 = rhs(t + dt / 2, z + (dt / 2) * k2, *args)
+    k4 = rhs(t + dt, z + dt * k3, *args)
+    return z + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _array_rhs(rhs):
+    """A float-sequence rhs behind the array-in, array-out contract of the oracle."""
+    return lambda t, z, *args: np.array(rhs(t, z.tolist(), *args))
+
+
+def _oracle_integrate(rhs, x0, cfg, noise=None):
+    ts, f = cfg.time_grid(), _array_rhs(rhs)
+    if cfg.integrator == "rk45":
+        sol = solve_ivp(f, (0.0, cfg.T), x0, method="RK45", t_eval=ts,
+                        rtol=cfg.rk45_rtol, atol=cfg.rk45_atol)
+        return ts, sol.y.T
+    zs = [np.asarray(x0, dtype=float)]
+    for k in range(cfg.nsteps):
+        args = () if noise is None else (noise[k],)
+        zs.append(_numpy_rk4_step(f, ts[k], zs[-1], cfg.dt, *args))
+    return ts, np.array(zs)
+
+
+def _with_numpy_stages(run):
+    """run() with integrate and iss_bound stepping through the numpy oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "integrate", _oracle_integrate)
+        mp.setattr(sim, "_rk4_step",
+                   lambda rhs, t, z, dt: _numpy_rk4_step(_array_rhs(rhs), t, np.array(z), dt))
+        return run()
+
+
+_TRACE_COLUMNS = ("t", "x", "x_hat", "u", "y", "y_clean", "d", "d_bound", "est_err")
+
+
+@pytest.mark.parametrize("regime,mode,sigma,integrator", [
+    *[(r, m, 0.0, "rk4") for r in ("slow", "medium", "fast")
+      for m in ("open", "state_fb", "output_fb")],
+    ("slow", "output_fb", 0.3, "rk4"), ("medium", "output_fb", 0.3, "rk4"),
+    ("slow", "state_fb", 0.0, "rk45"), ("slow", "output_fb", 0.0, "rk45"),
+])
+def test_float_stages_match_numpy_stages_bit_for_bit(request, mg_model, lc_state,
+                                                     regime, mode, sigma, integrator):
+    cmetric, ometric = request.getfixturevalue(f"metrics_{regime}")
+    claw, olaw = ControlLaw(cmetric, mg_model), ObserverLaw(ometric, mg_model)
+    # at dt = 1 ms the increments are so small against the state that a
+    # regrouped stage sum often rounds to the same state; 5 ms shows it
+    cfg = SimConfig(dt=5e-3, T=2.0, x0=lc_state, xhat0=np.zeros(2), noise_std=sigma,
+                    seed=5, integrator=integrator)
+    run = {"open": lambda: run_open_loop(mg_model, cfg),
+           "state_fb": lambda: run_state_feedback(mg_model, claw, cfg),
+           "output_fb": lambda: run_output_feedback(mg_model, claw, olaw, cfg)}[mode]
+    got, want = run(), _with_numpy_stages(run)
+    for name in _TRACE_COLUMNS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_iss_bound_float_stages_match_numpy_stages(metrics_medium):
+    cmetric, _ = metrics_medium
+    env = lambda t: 0.3 * np.exp(-t) * (1.0 + np.sin(7.0 * t))
+    run = lambda: iss_bound(cmetric, 0.7, env, 2.0, 5e-2)  # coarse, as above
+    (ts, d), (ts_ref, d_ref) = run(), _with_numpy_stages(run)
+    assert np.array_equal(ts, ts_ref) and np.array_equal(d, d_ref)
+
+
+def test_divergence_diagnostic_names_time_and_state(mg_model, metrics_fast, lc_state):
+    # mg-fast with sigma = 0.3 and seed 7 diverges within the first half second
+    claw, olaw = ControlLaw(metrics_fast[0], mg_model), ObserverLaw(metrics_fast[1], mg_model)
+    cfg = SimConfig(dt=1e-3, T=3.0, x0=lc_state, xhat0=np.zeros(2), noise_std=0.3, seed=7)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SimulationError) as info:
+            run_output_feedback(mg_model, claw, olaw, cfg)
+    assert str(info.value) == "non-finite state at t=0.472: [nan nan nan nan]"
 
 
 # -- statistics / csv ---------------------------------------------------------------
