@@ -11,9 +11,9 @@ Module map:
     sos      SOS constraint compilation and Gram certificates
     synth    controller/observer metric synthesis + pointwise verification
     geom     constant-metric distances and measurement-set projection
-    realize  executable control/observer laws, ISS constants and envelope
+    realize  executable control/observer laws, ISS constants
     sim      one closed-loop core (open / state / output feedback), one RK4
-             loop (RK45 for cross-checks), ISS bound integration, CSV traces
+             loop (RK45 for cross-checks), the exact ISS bound, CSV traces
     cli      `ccm` command line (synthesize / verify / simulate / report)
 """
 

@@ -12,9 +12,8 @@ are explicit:
 The rho integrals are polynomials in (start, offset). Each law writes its
 formula once as straight-line source (`lines`), which `control` / `rhs` run
 on a point or on rows and sim's closed-loop field splices in, so all give
-the same bits. The ISS disturbance gains (kappa_candidates) and the
-closed-form two-exponential envelope live here too; the bound ODE itself is
-integrated in sim (iss_bound), with the loop's RK4 step.
+the same bits. The ISS disturbance gains (kappa_candidates) live here too;
+the bound itself is solved in sim (iss_bound).
 """
 
 from __future__ import annotations
@@ -120,20 +119,3 @@ class ObserverLaw:
         u = np.zeros(m) if u is None else np.atleast_1d(u)
         return eval_rows(self._rhs, (n, p, m), x_hat, np.atleast_1d(y), u)
 
-
-def two_exponential_bound(d0: float, lam: float, log_amp: float, alpha: float,
-                          t: np.ndarray) -> np.ndarray:
-    """Closed form of  d0 e^(-lam t) + amp * int_0^t e^(-lam(t-s)) e^(-alpha s) ds
-    with amp = exp(log_amp), evaluated safely in log space."""
-    t = np.asarray(t, dtype=float)
-    base = d0 * np.exp(-lam * t)
-    if abs(lam - alpha) < 1e-9:
-        with np.errstate(divide="ignore"):
-            logt = np.where(t > 0, np.log(np.maximum(t, 1e-300)), -math.inf)
-        extra = np.exp(np.minimum(log_amp + logt - lam * t, 700.0))
-        extra = np.where(t > 0, extra, 0.0)
-    else:
-        e1 = np.exp(np.minimum(log_amp - alpha * t, 700.0))
-        e2 = np.exp(np.minimum(log_amp - lam * t, 700.0))
-        extra = (e1 - e2) / (lam - alpha)
-    return base + extra

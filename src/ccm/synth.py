@@ -48,6 +48,10 @@ RATE_MULTIPLIER = 2.0
 # with it (degree 6 on two states already takes about 0.1 s per program)
 MAX_RHO_DEGREE = 10
 
+# largest accepted verification grid, grid^n points: 2^21, grid 1448 on two
+# states, about 0.3 GB of LMI values and eigenvalues at n = 2
+MAX_GRID_POINTS = 2**21
+
 
 @dataclass
 class SystemModel:
@@ -440,6 +444,11 @@ def verify_pointwise(
         box = [(-5.0, 5.0)] * model.n
     if len(box) != model.n:
         raise ValueError("box must give one interval per state")
+    if grid < 1:
+        raise ValueError(f"grid must be at least 1, got {grid}")
+    if grid**model.n > MAX_GRID_POINTS:
+        raise ValueError(f"grid {grid} on {model.n} states gives {grid**model.n} points, "
+                         f"above the budget of {MAX_GRID_POINTS}")
     pts = _grid_points(box, grid)
     V = lmi_values(metric, model, pts, lam=lam)
     eigs = np.linalg.eigvalsh(V)

@@ -221,6 +221,14 @@ def test_verify_single_point_grid(metric_dir, capsys):
     assert "grid_points=1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("grid", ["0", "-3", "100000000"])
+def test_verify_grid_outside_budget_exit(metric_dir, capsys, grid):
+    code = main(["verify", "-m", str(metric_dir / "controller.metric"), "--grid", grid])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid ") and err.count("\n") == 1
+
+
 def test_verify_unparseable_file(tmp_path):
     bad = tmp_path / "junk.metric"
     bad.write_text("hello\n")
@@ -262,6 +270,13 @@ def test_simulate_divergence_exits_with_message(tmp_path, capsys):
     code = main(["simulate", "-c", str(cpath), "--mode", "open", "-o", str(tmp_path / "o")])
     assert code == EXIT_USAGE
     assert "simulation error: non-finite state at t=1" in capsys.readouterr().err
+
+
+def test_simulate_horizon_above_budget_exit(tmp_path, capsys):
+    cpath = _short_cfg(tmp_path, T="1e12")
+    code = main(["simulate", "-c", str(cpath), "--mode", "open", "-o", str(tmp_path / "o")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: T/dt = 1e+15 is above the budget of 1000000 steps\n"
 
 
 def test_simulate_output_feedback_and_determinism(tmp_path, metric_dir):

@@ -10,7 +10,6 @@ from ccm.realize import (
     ISS_KAPPA_KEY,
     ObserverLaw,
     kappa_candidates,
-    two_exponential_bound,
 )
 from ccm.sim import iss_bound
 from ccm.synth import ControllerMetric, ObserverMetric
@@ -216,9 +215,9 @@ def test_iss_bound_exponential_env_matches_closed_form(metrics_slow):
     kappa = kappa_candidates(cmetric)[ISS_KAPPA_KEY]
     beta, alpha = 1.7, 0.8
     ts, d = iss_bound(cmetric, 0.5, lambda t: beta * np.exp(-alpha * t), T=10.0, dt=1e-3)
-    analytic = two_exponential_bound(
-        0.5, cmetric.lam, np.log(kappa * beta), alpha, ts
-    )
+    lam = cmetric.lam
+    analytic = (0.5 * np.exp(-lam * ts)
+                + kappa * beta * (np.exp(-alpha * ts) - np.exp(-lam * ts)) / (lam - alpha))
     np.testing.assert_allclose(d, analytic, atol=1e-8)
 
 
@@ -227,10 +226,3 @@ def test_kappa_candidates_reported(metrics_slow):
     cands = kappa_candidates(cmetric)
     assert set(cands) == {"sqrt_alpha1", "sqrt_alpha2", "inv_sqrt_alpha1"}
     assert cands["inv_sqrt_alpha1"] == pytest.approx(1.0 / np.sqrt(cmetric.alpha1))
-
-
-def test_two_exponential_bound_handles_equal_rates():
-    ts = np.linspace(0, 5, 11)
-    out = two_exponential_bound(1.0, 2.0, np.log(3.0), 2.0 + 1e-12, ts)
-    expected = np.exp(-2.0 * ts) + 3.0 * ts * np.exp(-2.0 * ts)
-    np.testing.assert_allclose(out, expected, rtol=1e-6)

@@ -1,27 +1,21 @@
 """Simulation engine: integrators, loop modes, noise model, trace statistics."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from ccm import sim
 from ccm.poly import PolyMatrix, Polynomial, poly_from_text
-from ccm.realize import (
-    ControlLaw,
-    ISS_KAPPA_KEY,
-    ObserverLaw,
-    kappa_candidates,
-    two_exponential_bound,
-)
+from ccm.realize import ControlLaw, ObserverLaw
 from ccm.sim import (
     SimConfig,
     SimTrace,
     SimulationError,
     _closed_loop_field,
     decay_rate,
-    fit_decay_exponent,
     integrate,
-    iss_bound,
     limit_cycle_state,
     moore_greitzer,
     overshoot,
@@ -403,13 +397,13 @@ def _reference_loop(model, claw, olaw, cfg):
     de = xhs - xs
     est_err = np.sqrt(np.einsum("ki,ij,kj->k", de, olaw.metric.W, de))
     w_mag = np.linalg.norm((u - np.stack([claw.control(p) for p in xs])) @ B.T, axis=1)
-    if cfg.noise_std > 0:
-        _, d_bound = iss_bound(claw.metric, d[0], lambda t: np.interp(t, ts, w_mag), cfg.T, cfg.dt)
-    else:
-        alpha = fit_decay_exponent(ts, est_err)
-        log_beta = np.max(np.log(w_mag[w_mag > 0]) + alpha * ts[w_mag > 0])
-        kappa = kappa_candidates(claw.metric)[ISS_KAPPA_KEY]
-        d_bound = two_exponential_bound(d[0], lam, np.log(kappa) + log_beta, alpha, ts)
+    # the ISS bound  d' = -lam d + kappa |w(t)|,  kappa = 1/sqrt(alpha1), stepped by RK4
+    kappa = 1.0 / np.sqrt(claw.metric.alpha1)
+    bound_rhs = lambda t, v: -lam * v + kappa * np.interp(t, ts, w_mag)
+    db = [np.array([d[0]])]
+    for k in range(cfg.nsteps):
+        db.append(_numpy_rk4_step(bound_rhs, ts[k], db[-1], h))
+    d_bound = np.concatenate(db)
     return xs, xhs, u, d, d_bound, est_err
 
 
@@ -430,6 +424,33 @@ def test_trajectory_matches_per_call_reference(mg_model, laws_slow, lc_state, mo
     assert _rel_err(tr.d_bound, d_bound) <= 1e-9
     xi = np.random.default_rng(cfg.seed).standard_normal((cfg.nsteps + 1, mg_model.p))
     assert np.array_equal(tr.y, tr.y_clean + sigma * xi)
+
+
+# the limit-cycle start and two starts within 0.1 of it
+_GATE_OFFSETS = ((0.0, 0.0), (0.07, -0.07), (-0.1, 0.0))
+
+
+@pytest.mark.parametrize("mode", ["state_fb", "output_fb"])
+@pytest.mark.parametrize("regime,integrator", [
+    ("slow", "rk4"), ("medium", "rk4"), ("fast", "rk4"), ("slow", "rk45"),
+])
+def test_noise_free_feedback_within_bound_and_converging(request, mg_model, lc_state,
+                                                        regime, integrator, mode):
+    # the closed-loop benchmark's gate: d under d_bound to 1e-9 relative and
+    # 1e-12 absolute, and past the peak (the estimate closing in) by T
+    cmetric, ometric = request.getfixturevalue(f"metrics_{regime}")
+    claw, olaw = ControlLaw(cmetric, mg_model), ObserverLaw(ometric, mg_model)
+    for offset in _GATE_OFFSETS:
+        cfg = SimConfig(dt=1e-3, T=3.0, x0=lc_state + offset, xhat0=np.zeros(2),
+                        integrator=integrator)
+        if mode == "state_fb":
+            tr = run_state_feedback(mg_model, claw, cfg)
+            converged = tr.d[-1] < tr.d[0]
+        else:
+            tr = run_output_feedback(mg_model, claw, olaw, cfg)
+            converged = tr.d[-1] < tr.d.max() and tr.est_err[-1] < tr.est_err[0]
+        assert np.all(tr.d <= tr.d_bound * (1 + 1e-9) + 1e-12), offset
+        assert converged, offset
 
 
 # -- float stage combination against the numpy one ---------------------------------
@@ -464,11 +485,9 @@ def _oracle_integrate(rhs, x0, cfg, noise=None):
 
 
 def _with_numpy_stages(run):
-    """run() with integrate and iss_bound stepping through the numpy oracle."""
+    """run() with integrate stepping through the numpy oracle."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "integrate", _oracle_integrate)
-        mp.setattr(sim, "_rk4_step",
-                   lambda rhs, t, z, dt: _numpy_rk4_step(_array_rhs(rhs), t, np.array(z), dt))
         return run()
 
 
@@ -497,12 +516,25 @@ def test_float_stages_match_numpy_stages_bit_for_bit(request, mg_model, lc_state
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
-def test_iss_bound_float_stages_match_numpy_stages(metrics_medium):
-    cmetric, _ = metrics_medium
-    env = lambda t: 0.3 * np.exp(-t) * (1.0 + np.sin(7.0 * t))
-    run = lambda: iss_bound(cmetric, 0.7, env, 2.0, 5e-2)  # coarse, as above
-    (ts, d), (ts_ref, d_ref) = run(), _with_numpy_stages(run)
-    assert np.array_equal(ts, ts_ref) and np.array_equal(d, d_ref)
+def _decimal_step_weights(z: float) -> list[Decimal]:
+    """The one-step weights at 50 digits: I_k = int_0^1 e^(-zu) u^k du by
+    I_0 = (1 - e^-z)/z, I_k = (k I_(k-1) - e^-z)/z, against the Lagrange
+    basis in u = 1 - s of the nodes s = 0, 1/2, 1."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        z = Decimal(z)
+        e = (-z).exp()
+        i0 = (1 - e) / z
+        i1 = (i0 - e) / z
+        i2 = (2 * i1 - e) / z
+        return [+(2 * i2 - i1), +(4 * i1 - 4 * i2), +(i0 - 3 * i1 + 2 * i2)]
+
+
+@pytest.mark.parametrize("z", [1e-9, 1e-4, 5e-3, 0.5, 30.0])
+def test_iss_bound_step_weights_match_decimal(z):
+    got = sim._step_weights(z)
+    for g, want in zip(got, _decimal_step_weights(z)):
+        assert abs(Decimal(g) - want) <= Decimal("1e-14") * abs(want)
 
 
 def test_divergence_diagnostic_names_time_and_state(mg_model, metrics_fast, lc_state):
@@ -590,3 +622,10 @@ def test_simconfig_validation():
                 {"xhat0": [np.inf, 0.0]}):
         with pytest.raises(ValueError, match="finite"):
             SimConfig(**bad)
+
+
+def test_simconfig_rejects_steps_above_budget():
+    with pytest.raises(ValueError) as info:
+        SimConfig(T=1e12)  # rejected before the time grid is formed
+    assert str(info.value) == "T/dt = 1e+15 is above the budget of 1000000 steps"
+    assert SimConfig(T=60.0).nsteps <= sim.MAX_SIM_STEPS  # the CLI default

@@ -8,6 +8,7 @@ from ccm.poly import PolyMatrix, Polynomial, poly_from_text
 from ccm.sdp import SolveOptions, problem_to_text
 from ccm.sos import check_certificate, compile as sos_compile
 from ccm.synth import (
+    MAX_GRID_POINTS,
     MAX_RHO_DEGREE,
     ControllerMetric,
     Role,
@@ -249,6 +250,20 @@ def test_verify_single_point_grid_uses_midpoint(mg_model, metrics_slow):
     chk = verify_pointwise(cmetric, mg_model, box=[(-2, 4), (-3, 1)], grid=1)
     assert chk.grid_points == 1
     np.testing.assert_allclose(chk.worst_point, [1.0, -1.0])
+
+
+@pytest.mark.parametrize("grid,message", [
+    (0, "grid must be at least 1, got 0"),
+    (-3, "grid must be at least 1, got -3"),
+    (10**8, "grid 100000000 on 2 states gives 10000000000000000 points, "
+            "above the budget of 2097152"),
+])
+def test_verify_rejects_grid_outside_budget(mg_model, metrics_slow, monkeypatch, grid, message):
+    monkeypatch.setattr("ccm.synth._grid_points", None)  # rejected before any point is formed
+    with pytest.raises(ValueError) as info:
+        verify_pointwise(metrics_slow[0], mg_model, grid=grid)
+    assert str(info.value) == message
+    assert 1001**2 <= MAX_GRID_POINTS  # the benchmark's largest grid
 
 
 def test_rate_monotonicity_by_reverification(mg_model, metrics_medium):
