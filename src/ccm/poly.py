@@ -145,7 +145,7 @@ class Polynomial:
             if c == 0.0:
                 return Polynomial.zero(self.nvars)
             out = Polynomial(self.nvars)
-            out._terms = {m: v * c for m, v in self._terms.items()}
+            out._terms = {m: v * c for m, v in self._terms.items() if v * c != 0.0}
             return out
         self._check_arity(other)
         prod: dict[Monomial, float] = {}
@@ -332,13 +332,12 @@ def line_integral_form(p: Polynomial) -> Polynomial:
 class PolyMatrix:
     """A dense matrix of polynomials sharing one variable space."""
 
-    __slots__ = ("nvars", "rows", "cols", "_entries", "symmetric")
+    __slots__ = ("nvars", "rows", "cols", "_entries")
 
-    def __init__(self, nvars: int, rows: int, cols: int, entries=None, symmetric=False):
+    def __init__(self, nvars: int, rows: int, cols: int, entries=None):
         self.nvars = nvars
         self.rows = rows
         self.cols = cols
-        self.symmetric = bool(symmetric)
         if entries is None:
             self._entries = [
                 [Polynomial.zero(nvars) for _ in range(cols)] for _ in range(rows)
@@ -351,13 +350,6 @@ class PolyMatrix:
                     if p.nvars != nvars:
                         raise ValueError("entry arity does not match matrix arity")
             self._entries = [list(r) for r in entries]
-        if self.symmetric:
-            if rows != cols:
-                raise ValueError("symmetric matrix must be square")
-            for i in range(rows):
-                for j in range(i):
-                    if self._entries[i][j] != self._entries[j][i]:
-                        raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
 
     @classmethod
     def column(cls, entries: list[Polynomial]) -> "PolyMatrix":
@@ -370,7 +362,7 @@ class PolyMatrix:
 
     def transpose(self) -> "PolyMatrix":
         ent = [[self._entries[j][i] for j in range(self.rows)] for i in range(self.cols)]
-        return PolyMatrix(self.nvars, self.cols, self.rows, ent, symmetric=self.symmetric)
+        return PolyMatrix(self.nvars, self.cols, self.rows, ent)
 
     def as_function(self):
         """Compile a column to one function x -> (rows,) array whose entries
@@ -468,6 +460,13 @@ def eval_rows(fn, widths: tuple[int, ...], *blocks) -> np.ndarray:
 # Terms are written `coeff*x1^a*x2^b`, joined by `+`/`-`; variables are
 # x1..xn unless alias names are supplied (the two-state benchmark uses
 # phi, psi). Coefficients round-trip exactly via repr().
+
+
+# largest accepted total degree of a term in polynomial text: generated
+# source spells a power out as a product, and a term of degree near 3000
+# nests deeper than Python's compiler allows. The committed models, presets
+# and rho_degree up to synth.MAX_RHO_DEGREE need degree 10 at most.
+MAX_TERM_DEGREE = 64
 
 
 class PolyParseError(ValueError):
@@ -576,6 +575,10 @@ def poly_from_text(text: str, nvars: int, names: list[str] | None = None) -> Pol
                     power = int(ptxt)
                     i += 1
                 expo[var_index[lex]] += power
+                if sum(expo) > MAX_TERM_DEGREE:
+                    raise PolyParseError(
+                        f"term degree {sum(expo)} is above the cap of {MAX_TERM_DEGREE}", ln, cl
+                    )
                 saw_factor = True
                 expect_factor = False
             else:

@@ -56,6 +56,10 @@ class SimulationError(RuntimeError):
 # keeps about 0.3 kB per step, so 0.3 GB and some 20 s of RK4 at the budget
 MAX_SIM_STEPS = 10**6
 
+# relative and absolute tolerances of the adaptive RK45 integrator
+RK45_RTOL = 1e-9
+RK45_ATOL = 1e-12
+
 
 @dataclass
 class SimConfig:
@@ -66,8 +70,6 @@ class SimConfig:
     seed: int = 0
     x0: np.ndarray = field(default_factory=lambda: np.zeros(2))
     xhat0: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    rk45_rtol: float = 1e-9
-    rk45_atol: float = 1e-12
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
@@ -86,8 +88,6 @@ class SimConfig:
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.noise_std < 0:
             raise ValueError("noise_std must be >= 0")
-        if self.rk45_rtol <= 0 or self.rk45_atol <= 0:
-            raise ValueError("RK45 tolerances must be positive")
 
     @property
     def nsteps(self) -> int:
@@ -149,6 +149,8 @@ class SimTrace:
     @classmethod
     def from_csv(cls, text: str, mode: str = "imported") -> "SimTrace":
         lines = [ln for ln in text.splitlines() if ln.strip()]
+        if len(lines) < 2:
+            raise ValueError("trace has no header line" if not lines else "trace has no rows")
         header = lines[0].split(",")
         data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
         if data.shape[1] != len(header):
@@ -156,12 +158,17 @@ class SimTrace:
         col = {name: data[:, k] for k, name in enumerate(header)}
         state_names = [h for h in header if h not in ("t",) and not h.endswith("_hat")
                        and not h.startswith(("u", "y", "d", "est_err"))]
-        n = len(state_names)
-        x = np.stack([col[nm] for nm in state_names], axis=1)
-        x_hat = np.stack([col[f"{nm}_hat"] for nm in state_names], axis=1)
         unames = [h for h in header if h == "u" or (h.startswith("u") and h[1:].isdigit())]
         ynames = [h for h in header if h == "y" or (h.startswith("y") and h[1:].isdigit())]
         cnames = [h for h in header if h.startswith("y_clean")]
+        groups = {"state": state_names, "u": unames, "y": ynames, "y_clean": cnames}
+        missing = [g for g, names in groups.items() if not names]
+        missing += [nm for nm in ["t", *(f"{s}_hat" for s in state_names), "d", "d_bound",
+                                  "est_err"] if nm not in col]
+        if missing:
+            raise ValueError(f"trace lacks columns {missing}")
+        x = np.stack([col[nm] for nm in state_names], axis=1)
+        x_hat = np.stack([col[f"{nm}_hat"] for nm in state_names], axis=1)
         return cls(
             t=col["t"], x=x, x_hat=x_hat,
             u=np.stack([col[nm] for nm in unames], axis=1),
@@ -233,7 +240,7 @@ def integrate(rhs, x0, cfg: SimConfig, noise=None) -> tuple[np.ndarray, np.ndarr
             raise ValueError("noise injection requires the fixed-step rk4 integrator")
         sol = solve_ivp(
             lambda t, y: rhs(t, y.tolist()), (0.0, cfg.T), x0, method="RK45", t_eval=ts,
-            rtol=cfg.rk45_rtol, atol=cfg.rk45_atol,
+            rtol=RK45_RTOL, atol=RK45_ATOL,
         )
         if not sol.success:
             raise SimulationError(f"adaptive integration failed: {sol.message}")

@@ -1,10 +1,13 @@
 """Sum-of-squares constraint compilation and certificate recovery.
 
 A constraint declares that a polynomial whose coefficients are affine in
-decision parameters lies in the SOS cone. Compilation introduces one Gram
-matrix block per constraint and equates basis products against expression
-coefficients; matrix interval bounds lo*I <= P <= hi*I become two extra PSD
-blocks tied to P entry-wise.
+decision parameters lies in the SOS cone. Such a polynomial (ParamPoly) is
+one plain Polynomial per parameter plus a parameter-free part, so all of its
+arithmetic is Polynomial arithmetic. Compilation takes the declared
+parameter list, introduces one Gram matrix block per constraint and equates
+basis products against the coefficients of the parts; matrix interval
+bounds lo*I <= P <= hi*I become two extra PSD blocks tied to P entry-wise.
+The same basis-product table reproduces a recovered certificate.
 
 Two constraint kinds are supported:
 
@@ -43,152 +46,86 @@ class MatrixParam:
     dim: int
 
 
-class AffExpr:
-    """Affine expression const + sum(coeff * param)."""
-
-    __slots__ = ("const", "lin")
-
-    def __init__(self, const: float = 0.0, lin: dict[ParamKey, float] | None = None):
-        self.const = float(const)
-        self.lin: dict[ParamKey, float] = {}
-        if lin:
-            for k, v in lin.items():
-                v = float(v)
-                if v != 0.0:
-                    self.lin[k] = self.lin.get(k, 0.0) + v
-
-    def __add__(self, other):
-        if not isinstance(other, AffExpr):
-            other = AffExpr(other)
-        lin = dict(self.lin)
-        for k, v in other.lin.items():
-            s = lin.get(k, 0.0) + v
-            if s == 0.0:
-                lin.pop(k, None)
-            else:
-                lin[k] = s
-        return AffExpr(self.const + other.const, lin)
-
-    def __neg__(self):
-        return AffExpr(-self.const, {k: -v for k, v in self.lin.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, AffExpr):
-            other = AffExpr(other)
-        return self + (-other)
-
-    def scale(self, c: float) -> "AffExpr":
-        c = float(c)
-        if c == 0.0:
-            return AffExpr(0.0)
-        return AffExpr(self.const * c, {k: v * c for k, v in self.lin.items()})
-
-    def is_zero(self) -> bool:
-        return self.const == 0.0 and not self.lin
-
-    def value(self, values: dict[str, object]) -> float:
-        out = self.const
-        for key, coeff in self.lin.items():
-            if len(key) == 1:
-                out += coeff * float(values[key[0]])
-            else:
-                name, i, j = key
-                out += coeff * float(np.asarray(values[name])[i, j])
-        return out
-
-    def __repr__(self):
-        return f"AffExpr({self.const!r}, {self.lin!r})"
-
-
 def _canon_param(key: ParamKey) -> ParamKey:
     if len(key) == 3:
         return (key[0], max(key[1], key[2]), min(key[1], key[2]))
     return key
 
 
+def _param_value(key: ParamKey, values: dict[str, object]) -> float:
+    if len(key) == 1:
+        return float(values[key[0]])
+    name, i, j = key
+    return float(np.asarray(values[name])[i, j])
+
+
 class ParamPoly:
-    """Polynomial with AffExpr coefficients (affine in decision parameters)."""
+    """A polynomial affine in decision parameters: the sum over parts of
+    parameter * Polynomial, with the key None for the parameter-free part."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "parts")
 
-    def __init__(self, nvars: int, terms: dict[Monomial, AffExpr] | None = None):
+    def __init__(self, nvars: int, parts: dict[ParamKey | None, Polynomial] | None = None):
         self.nvars = nvars
-        self.terms: dict[Monomial, AffExpr] = {}
-        if terms:
-            for m, e in terms.items():
-                if not e.is_zero():
-                    self.terms[tuple(m)] = e
+        self.parts: dict[ParamKey | None, Polynomial] = {}
+        for key, p in (parts or {}).items():
+            if p.nvars != nvars:
+                raise ValueError("arity mismatch")
+            if not p.is_zero():
+                self.parts[key] = p
 
     @classmethod
     def from_poly(cls, p: Polynomial) -> "ParamPoly":
-        return cls(p.nvars, {m: AffExpr(c) for m, c in p.terms.items()})
+        return cls(p.nvars, {None: p})
 
     @classmethod
     def param(cls, nvars: int, key: ParamKey, multiplier: Polynomial | None = None) -> "ParamPoly":
         """multiplier(x) * parameter; multiplier defaults to 1."""
-        key = _canon_param(key)
         if multiplier is None:
-            return cls(nvars, {(0,) * nvars: AffExpr(0.0, {key: 1.0})})
-        return cls(
-            multiplier.nvars,
-            {m: AffExpr(0.0, {key: c}) for m, c in multiplier.terms.items()},
-        )
+            multiplier = Polynomial.constant(nvars, 1.0)
+        return cls(nvars, {_canon_param(key): multiplier})
+
+    def _map(self, fn) -> "ParamPoly":
+        return ParamPoly(self.nvars, {key: fn(p) for key, p in self.parts.items()})
 
     def __add__(self, other):
         if isinstance(other, Polynomial):
             other = ParamPoly.from_poly(other)
         if self.nvars != other.nvars:
             raise ValueError("arity mismatch")
-        terms = dict(self.terms)
-        for m, e in other.terms.items():
-            s = terms.get(m, AffExpr()) + e
-            if s.is_zero():
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        return ParamPoly(self.nvars, terms)
+        parts = dict(self.parts)
+        for key, p in other.parts.items():
+            parts[key] = parts[key] + p if key in parts else p
+        return ParamPoly(self.nvars, parts)
 
     def __neg__(self):
-        return ParamPoly(self.nvars, {m: -e for m, e in self.terms.items()})
+        return self._map(Polynomial.__neg__)
 
     def __sub__(self, other):
-        if isinstance(other, Polynomial):
-            other = ParamPoly.from_poly(other)
         return self + (-other)
 
     def scale(self, c: float) -> "ParamPoly":
-        return ParamPoly(self.nvars, {m: e.scale(c) for m, e in self.terms.items()})
+        return self._map(lambda p: p * c)
 
     def mul_poly(self, p: Polynomial) -> "ParamPoly":
         """Multiply by a parameter-free polynomial (keeps coefficient affinity)."""
-        if p.nvars != self.nvars:
-            raise ValueError("arity mismatch")
-        terms: dict[Monomial, AffExpr] = {}
-        for m1, e in self.terms.items():
-            for m2, c in p.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                terms[m] = terms.get(m, AffExpr()) + e.scale(c)
-        return ParamPoly(self.nvars, terms)
+        return self._map(lambda part: part * p)
 
     def embed(self, nvars: int, offset: int = 0) -> "ParamPoly":
-        terms = {}
-        for m, e in self.terms.items():
-            new = [0] * nvars
-            new[offset : offset + self.nvars] = m
-            terms[tuple(new)] = e
-        return ParamPoly(nvars, terms)
+        return ParamPoly(nvars, {key: p.embed(nvars, offset) for key, p in self.parts.items()})
 
     def substitute_params(self, values: dict[str, object]) -> Polynomial:
-        return Polynomial(self.nvars, {m: e.value(values) for m, e in self.terms.items()})
+        out = Polynomial.zero(self.nvars)
+        for key, p in self.parts.items():
+            out = out + (p if key is None else p * _param_value(key, values))
+        return out
+
+    def monomials(self) -> list[Monomial]:
+        """Monomials with a nonzero coefficient in some part, first seen first."""
+        return list(dict.fromkeys(m for p in self.parts.values() for m in p.terms))
 
     def degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=-1)
-
-    def param_keys(self) -> set[ParamKey]:
-        out = set()
-        for e in self.terms.values():
-            out.update(e.lin.keys())
-        return out
+        return max((p.degree() for p in self.parts.values()), default=-1)
 
 
 class SosKind(enum.Enum):
@@ -199,21 +136,19 @@ class SosKind(enum.Enum):
 @dataclass
 class SosConstraint:
     """expression in the SOS cone; for QUADRATIC_FORM the last ndelta
-    variables are the quadratic-form directions. half_degree, when given,
-    enlarges the Gram basis beyond the structural minimum."""
+    variables are the quadratic-form directions."""
 
     name: str
     expression: ParamPoly
     kind: SosKind = SosKind.SCALAR
     ndelta: int = 0
-    half_degree: int | None = None
 
     def __post_init__(self):
         if self.kind is SosKind.QUADRATIC_FORM:
             if self.ndelta < 1:
                 raise ValueError("quadratic-form constraint needs ndelta >= 1")
             nx = self.nx
-            for m in self.expression.terms:
+            for m in self.expression.monomials():
                 if sum(m[nx:]) != 2:
                     raise ValueError(
                         f"constraint {self.name!r}: expression is not homogeneous "
@@ -263,20 +198,19 @@ def gram_basis(constraint: SosConstraint) -> list[Monomial]:
     (x-monomials up to half the x-degree) crossed with each delta component.
     """
     expr = constraint.expression
-    override = constraint.half_degree or 0
     if constraint.kind is SosKind.SCALAR:
         deg = expr.degree()
         if deg < 0:
-            return monomials_upto(expr.nvars, override) if override else []
+            return []
         if deg % 2 == 1:
             raise OddDegreeError(
                 f"constraint {constraint.name!r} has odd total degree {deg}; "
                 "no SOS representation basis exists"
             )
-        return monomials_upto(expr.nvars, max(deg // 2, override))
+        return monomials_upto(expr.nvars, deg // 2)
     nx, nd = constraint.nx, constraint.ndelta
-    xdeg = max((sum(m[:nx]) for m in expr.terms), default=0)
-    xmonos = monomials_upto(nx, max((xdeg + 1) // 2, override))
+    xdeg = max((sum(m[:nx]) for m in expr.monomials()), default=0)
+    xmonos = monomials_upto(nx, (xdeg + 1) // 2)
     basis = []
     for mx in xmonos:
         for k in range(nd):
@@ -287,7 +221,6 @@ def gram_basis(constraint: SosConstraint) -> list[Monomial]:
 @dataclass
 class CompileInfo:
     gram_blocks: dict[str, tuple[str, list[Monomial]]] = field(default_factory=dict)
-    params: list[object] = field(default_factory=list)
     n_equalities: int = 0
     block_dims: dict[str, int] = field(default_factory=dict)
     n_scalar_vars: int = 0
@@ -305,6 +238,32 @@ def _mono_name(m: Monomial) -> str:
     return "_".join(str(e) for e in m)
 
 
+def _basis_products(basis: list[Monomial]) -> dict[Monomial, list[tuple[int, int, float]]]:
+    """The products basis[a]*basis[b], a <= b, grouped by monomial as
+    (a, b, multiplicity) with multiplicity 1 on the diagonal and 2 off it:
+    v' G v is the sum over each monomial's entries of multiplicity * G[a, b]."""
+    products: dict[Monomial, list[tuple[int, int, float]]] = {}
+    for a in range(len(basis)):
+        for b in range(a, len(basis)):
+            m = tuple(x + y for x, y in zip(basis[a], basis[b]))
+            products.setdefault(m, []).append((a, b, 1.0 if a == b else 2.0))
+    return products
+
+
+def _check_declared(key: ParamKey, declared: dict[str, object]):
+    name = key[0]
+    p = declared.get(name)
+    if p is None:
+        raise ValueError(f"parameter {name!r} used but not declared")
+    kind = MatrixParam if len(key) == 3 else ScalarParam
+    if not isinstance(p, kind):
+        raise ValueError(f"parameter {name!r} used as {kind.__name__} but declared "
+                         f"as {type(p).__name__}")
+    if len(key) == 3 and not 0 <= key[2] <= key[1] < p.dim:
+        raise ValueError(f"parameter {name!r} entry {key[1:]} is beyond its declared "
+                         f"dimension {p.dim}")
+
+
 def compile(
     constraints: list[SosConstraint],
     bounds: list[MatrixBound] | None = None,
@@ -312,11 +271,14 @@ def compile(
 ) -> tuple[SdpProblem, CompileInfo]:
     """Compile SOS constraints plus matrix interval bounds to an SdpProblem.
 
-    Decision parameters become SDP variables: scalars free, matrices as PSD
-    blocks (each matrix parameter must carry a bound with lo >= 0). Gram
-    blocks and coefficient-matching equalities encode the SOS memberships.
+    params declares the decision parameters, in the order they become SDP
+    variables (default: none): scalars free, matrices as PSD blocks, each
+    matrix with a bound of lo >= 0. Every parameter a constraint uses must
+    be declared, with its kind and within its dimension. Gram blocks and
+    coefficient-matching equalities encode the SOS memberships.
     """
     bounds = bounds or []
+    params = list(params or [])
 
     names = set()
     for c in constraints:
@@ -324,63 +286,31 @@ def compile(
             raise ValueError(f"duplicate constraint name {c.name!r}")
         names.add(c.name)
 
-    # collect parameters (declared order wins; otherwise sorted by name)
-    seen_keys: set[ParamKey] = set()
+    declared = {p.name: p for p in params}
     for c in constraints:
-        seen_keys |= c.expression.param_keys()
-    by_name: dict[str, object] = {}
-    for key in seen_keys:
-        nm = key[0]
-        if len(key) == 1:
-            existing = by_name.get(nm)
-            if isinstance(existing, MatrixParam):
-                raise ValueError(f"parameter {nm!r} used as scalar and matrix")
-            by_name[nm] = ScalarParam(nm)
-        else:
-            d = max(key[1], key[2]) + 1
-            existing = by_name.get(nm)
-            if isinstance(existing, MatrixParam):
-                d = max(d, existing.dim)
-            by_name[nm] = MatrixParam(nm, d)
+        for key in c.expression.parts:
+            if key is not None:
+                _check_declared(key, declared)
     for b in bounds:
-        existing = by_name.get(b.param.name)
-        if existing is not None and isinstance(existing, MatrixParam):
-            if existing.dim > b.param.dim:
-                raise ValueError(
-                    f"bound on {b.param.name!r} declares dim {b.param.dim} "
-                    f"but entries up to {existing.dim} are referenced"
-                )
-        by_name[b.param.name] = b.param
-    if params is not None:
-        declared = {p.name: p for p in params}
-        for nm, inferred in by_name.items():
-            if nm not in declared:
-                raise ValueError(f"parameter {nm!r} used but not declared")
-            if isinstance(inferred, MatrixParam) and not isinstance(
-                declared[nm], MatrixParam
-            ):
-                raise ValueError(f"parameter {nm!r}: matrix/scalar mismatch")
-        ordered = list(params)
-    else:
-        ordered = [by_name[nm] for nm in sorted(by_name)]
-
-    bounded = {b.param.name for b in bounds}
-    for p in ordered:
-        if isinstance(p, MatrixParam) and p.name not in bounded:
-            raise ValueError(
-                f"matrix parameter {p.name!r} has no interval bound; a bound "
-                "with lo >= 0 is required to encode it as a PSD block"
-            )
-    for b in bounds:
+        if declared.get(b.param.name) != b.param:
+            raise ValueError(f"bound on {b.param.name!r} does not match a declared "
+                             "matrix parameter")
         if b.lo < 0:
             raise ValueError(
                 f"bound on {b.param.name!r} has lo < 0; only PSD-representable "
                 "matrix parameters are supported"
             )
+    bounded = {b.param.name for b in bounds}
+    for p in params:
+        if isinstance(p, MatrixParam) and p.name not in bounded:
+            raise ValueError(
+                f"matrix parameter {p.name!r} has no interval bound; a bound "
+                "with lo >= 0 is required to encode it as a PSD block"
+            )
 
     prob = SdpProblem()
-    info = CompileInfo(params=ordered)
-    for p in ordered:
+    info = CompileInfo()
+    for p in params:
         if isinstance(p, MatrixParam):
             prob.add_block(p.name, p.dim)
             info.block_dims[p.name] = p.dim
@@ -390,39 +320,29 @@ def compile(
 
     for c in constraints:
         basis = gram_basis(c)
+        if not basis:
+            continue  # the zero expression: nothing to match
         gname = f"gram.{c.name}"
-        dim = len(basis)
-        if dim == 0:
-            # zero expression: nothing to certify beyond exact zero coefficients
-            for m, e in c.expression.terms.items():
-                prob.add_equality(
-                    {k: -v for k, v in e.lin.items()},
-                    e.const,
-                    name=f"{c.name}.{_mono_name(m)}",
-                )
-                info.n_equalities += 1
-            continue
-        prob.add_block(gname, dim)
-        info.block_dims[gname] = dim
+        prob.add_block(gname, len(basis))
+        info.block_dims[gname] = len(basis)
         info.gram_blocks[c.name] = (gname, basis)
 
-        # coefficient matching: every monomial reachable by basis products or
-        # present in the expression gets one equality
-        products: dict[Monomial, dict[tuple[int, int], float]] = {}
-        for a in range(dim):
-            for b_i in range(a, dim):
-                m = tuple(x + y for x, y in zip(basis[a], basis[b_i]))
-                mult = 1.0 if a == b_i else 2.0
-                products.setdefault(m, {})[(b_i, a)] = mult
-        monos = set(products) | set(c.expression.terms)
-        for m in sorted(monos, key=lambda mm: (sum(mm), tuple(-e for e in mm))):
-            terms: dict = {}
-            for (bi, ai), mult in products.get(m, {}).items():
-                terms[(gname, bi, ai)] = terms.get((gname, bi, ai), 0.0) + mult
-            e = c.expression.terms.get(m, AffExpr())
-            for k, v in e.lin.items():
-                terms[k] = terms.get(k, 0.0) - v
-            prob.add_equality(terms, e.const, name=f"{c.name}.{_mono_name(m)}")
+        # coefficient matching: one equality per monomial reachable by basis
+        # products or present in some part of the expression
+        rows = {
+            m: {(gname, b, a): mult for a, b, mult in pairs}
+            for m, pairs in _basis_products(basis).items()
+        }
+        rhs: dict[Monomial, float] = {}
+        for key, part in c.expression.parts.items():
+            for m, coeff in part.terms.items():
+                row = rows.setdefault(m, {})
+                if key is None:
+                    rhs[m] = coeff
+                else:
+                    row[key] = -coeff
+        for m in sorted(rows, key=lambda mm: (sum(mm), tuple(-e for e in mm))):
+            prob.add_equality(rows[m], rhs.get(m, 0.0), name=f"{c.name}.{_mono_name(m)}")
             info.n_equalities += 1
 
     for b in bounds:
@@ -461,14 +381,11 @@ class SosCertificate:
     def reproduce(self, nvars: int) -> Polynomial:
         """basis' * gram * basis as a plain polynomial."""
         terms: dict[Monomial, float] = {}
-        dim = len(self.basis)
-        for a in range(dim):
-            for b in range(a, dim):
-                m = tuple(x + y for x, y in zip(self.basis[a], self.basis[b]))
-                mult = 1.0 if a == b else 2.0
-                c = mult * self.gram[a, b]
-                if c:
-                    terms[m] = terms.get(m, 0.0) + c
+        for m, pairs in _basis_products(self.basis).items():
+            c = 0.0
+            for a, b, mult in pairs:
+                c += mult * self.gram[a, b]
+            terms[m] = c
         return Polynomial(nvars, terms)
 
     def digest(self) -> str:

@@ -190,13 +190,6 @@ class SynthesisProgram:
     rho_prefix: str
 
 
-def _rho_parampoly(nvars: int, monomials, prefix: str) -> ParamPoly:
-    pp = ParamPoly(nvars)
-    for k, m in enumerate(monomials):
-        pp = pp + ParamPoly.param(nvars, (f"{prefix}{k}",), Polynomial(nvars, {m: 1.0}))
-    return pp
-
-
 def metric_constraints(
     A: PolyMatrix,
     G: np.ndarray,
@@ -228,7 +221,8 @@ def metric_constraints(
     GGt = G @ G.T
     nvars = 2 * n  # x then delta
     rho_monos = monomials_upto(n, rho_degree)
-    rho = _rho_parampoly(n, rho_monos, rho_prefix)
+    rho = ParamPoly(n, {(f"{rho_prefix}{k}",): Polynomial(n, {m: 1.0})
+                        for k, m in enumerate(rho_monos)})
 
     def wa_entry(i: int, j: int) -> ParamPoly:
         # (W A')_ij = sum_k W_ik * A_jk
@@ -514,7 +508,13 @@ def metric_from_text(text: str) -> tuple[ContractionMetric, SystemModel | None]:
     for req in ("role", "lambda", "alpha1", "alpha2", "n", "W", "rho"):
         if req not in kv:
             raise ValueError(f"metric file missing {req!r}")
+    # n sizes the model key set below, so it is checked against W first
     n = int(kv["n"])
+    if n < 1:
+        raise ValueError(f"metric file n must be at least 1, got {n}")
+    W = _parse_matrix(kv["W"])
+    if W.shape != (n, n):
+        raise ValueError(f"W has shape {W.shape}, expected ({n}, {n})")
     model_keys = {f"model.f{i + 1}" for i in range(n)} | {"model.B", "model.C"}
     known = {"role", "lambda", "alpha1", "alpha2", "n", "W", "rho",
              "rho_certificate_digest", "lmi_certificate_digest"} | model_keys
@@ -525,9 +525,6 @@ def metric_from_text(text: str) -> tuple[ContractionMetric, SystemModel | None]:
     if has_model and not model_keys <= set(kv):
         raise ValueError(f"metric file model is incomplete: missing {sorted(model_keys - set(kv))}")
     role = Role(kv["role"])
-    W = _parse_matrix(kv["W"])
-    if W.shape != (n, n):
-        raise ValueError(f"W has shape {W.shape}, expected ({n}, {n})")
     scalars = {key: float(kv[key]) for key in ("lambda", "alpha1", "alpha2")}
     for key, value in [("W", W), *scalars.items()]:
         if not np.all(np.isfinite(value)):

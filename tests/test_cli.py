@@ -14,6 +14,7 @@ from ccm.cli import (
     parse_config,
     resolve_state,
 )
+from ccm.poly import MAX_TERM_DEGREE
 from ccm.sim import moore_greitzer
 from ccm.synth import MAX_RHO_DEGREE
 
@@ -229,6 +230,17 @@ def test_verify_grid_outside_budget_exit(metric_dir, capsys, grid):
     assert err.startswith("error: grid ") and err.count("\n") == 1
 
 
+def test_verify_term_degree_above_cap_exit(metric_dir, tmp_path, capsys):
+    text = (metric_dir / "controller.metric").read_text()
+    rho_line = next(ln for ln in text.splitlines() if ln.startswith("rho "))
+    bad = tmp_path / "deep.metric"
+    bad.write_text(text.replace(rho_line, f"rho 1.0*x1^{MAX_TERM_DEGREE + 1}"))
+    assert main(["verify", "-m", str(bad), "--grid", "11"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"term degree {MAX_TERM_DEGREE + 1} is above the cap" in err
+    assert err.count("\n") == 1
+
+
 def test_verify_unparseable_file(tmp_path):
     bad = tmp_path / "junk.metric"
     bad.write_text("hello\n")
@@ -279,6 +291,16 @@ def test_simulate_horizon_above_budget_exit(tmp_path, capsys):
     assert capsys.readouterr().err == "error: T/dt = 1e+15 is above the budget of 1000000 steps\n"
 
 
+def test_simulate_term_degree_above_cap_exit(tmp_path, capsys):
+    cpath = tmp_path / "deep.cfg"
+    cpath.write_text(GOOD_CONFIG.replace("0.5*phi^3", f"0.5*phi^{MAX_TERM_DEGREE + 1}"))
+    code = main(["simulate", "-c", str(cpath), "--mode", "open", "-o", str(tmp_path / "o")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f"term degree {MAX_TERM_DEGREE + 1} is above the cap" in err
+
+
 def test_simulate_output_feedback_and_determinism(tmp_path, metric_dir):
     cpath = _short_cfg(tmp_path)
     outs = []
@@ -318,10 +340,21 @@ def test_report_bundle(tmp_path, metric_dir):
             compile((rpt / name).read_text(), name, "exec")
 
 
-def test_report_rejects_bad_trace(tmp_path):
+def test_report_rejects_bad_trace(tmp_path, capsys):
+    bad_traces = {
+        "inconsistent trace header": "t,phi\n0.0\n",
+        "no header line": "",
+        "no rows": "t,phi,psi,phi_hat,psi_hat,u,y,y_clean,d,d_bound,est_err\n",
+        "lacks columns ['u', 'y', 'y_clean', 'phi_hat', 'psi_hat', 'd', 'd_bound', 'est_err']":
+            "t,phi,psi\n0.0,1.0,2.0\n0.001,1.0,2.0\n",
+    }
     bad = tmp_path / "t.csv"
-    bad.write_text("t,phi\n0.0\n")
-    assert main(["report", str(bad), "-o", str(tmp_path / "r")]) == EXIT_USAGE
+    for message, text in bad_traces.items():
+        bad.write_text(text)
+        assert main(["report", str(bad), "-o", str(tmp_path / "r")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert message in err
 
 
 def test_report_rejects_inconsistent_headers(tmp_path, metric_dir):

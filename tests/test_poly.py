@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccm.poly import (
+    MAX_TERM_DEGREE,
     Polynomial,
     PolyMatrix,
     PolyParseError,
@@ -78,6 +79,8 @@ def test_arity_mismatch_raises():
 def test_no_stored_zero_coefficients():
     p = P("x1 - x1 + x2")
     assert list(p.terms.keys()) == [(0, 1)]
+    # a product that underflows to zero is not stored either
+    assert list((P("1e-200*x1 + x2") * 1e-200).terms.keys()) == [(0, 1)]
 
 
 def coeff_close(a, b, scale):
@@ -285,17 +288,24 @@ def test_parse_rejects_dangling_sign():
         poly_from_text("x1 +", 2)
 
 
+def test_parse_caps_term_degree():
+    cap = MAX_TERM_DEGREE
+    assert poly_from_text(f"x1^{cap}", 1).degree() == cap
+    assert poly_from_text(f"x1^{cap - 1}*x2 + x2^{cap}", 2).degree() == cap
+    # the column is the factor that takes the term above the cap
+    with pytest.raises(PolyParseError, match=f"term degree {cap + 1} is above the cap") as err:
+        poly_from_text(f"1 + 2*x1^{cap - 1}*x2^2", 2)
+    assert (err.value.line, err.value.col) == (1, 13)
+    with pytest.raises(PolyParseError, match="above the cap"):
+        poly_from_text("x1^4000", 1)
+
+
 def test_zero_renders_and_parses():
     assert poly_to_text(Polynomial.zero(3)) == "0.0"
     assert poly_from_text("0.0", 3).is_zero()
 
 
 # -- matrices -----------------------------------------------------------------
-
-
-def test_symmetric_flag_validated():
-    with pytest.raises(ValueError, match="differ"):
-        PolyMatrix(2, 2, 2, [[P("1"), P("x1")], [P("x2"), P("1")]], symmetric=True)
 
 
 @settings(max_examples=40, deadline=None)

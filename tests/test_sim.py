@@ -61,11 +61,7 @@ def test_cross_integrator_agreement_on_benchmark():
     model = moore_greitzer()
     x0 = np.array([1.0, -1.0])
     tr4 = run_open_loop(model, SimConfig(dt=1e-3, T=50.0, x0=x0))
-    tr45 = run_open_loop(
-        model,
-        SimConfig(dt=1e-3, T=50.0, x0=x0, integrator="rk45",
-                  rk45_rtol=1e-9, rk45_atol=1e-12),
-    )
+    tr45 = run_open_loop(model, SimConfig(dt=1e-3, T=50.0, x0=x0, integrator="rk45"))
     assert np.abs(tr4.x - tr45.x).max() <= 1e-5
 
 
@@ -475,7 +471,7 @@ def _oracle_integrate(rhs, x0, cfg, noise=None):
     ts, f = cfg.time_grid(), _array_rhs(rhs)
     if cfg.integrator == "rk45":
         sol = solve_ivp(f, (0.0, cfg.T), x0, method="RK45", t_eval=ts,
-                        rtol=cfg.rk45_rtol, atol=cfg.rk45_atol)
+                        rtol=sim.RK45_RTOL, atol=sim.RK45_ATOL)
         return ts, sol.y.T
     zs = [np.asarray(x0, dtype=float)]
     for k in range(cfg.nsteps):

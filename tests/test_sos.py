@@ -6,7 +6,6 @@ import pytest
 from ccm.poly import Polynomial, poly_from_text
 from ccm.sdp import SdpStatus, solve
 from ccm.sos import (
-    AffExpr,
     MatrixBound,
     MatrixParam,
     OddDegreeError,
@@ -82,8 +81,10 @@ def test_monomial_enumeration_order():
 
 def test_single_rho_constraint_shape():
     # rho(x) in SOS, degree 2, 2 vars: one 3x3 Gram block plus matching equalities
-    rho = ParamPoly(2, {m: AffExpr(0.0, {(f"r{k}",): 1.0}) for k, m in enumerate(monomials_upto(2, 2))})
-    prob, info = sos_compile([SosConstraint("rho", rho)])
+    monos = monomials_upto(2, 2)
+    rho = ParamPoly(2, {(f"r{k}",): Polynomial(2, {m: 1.0}) for k, m in enumerate(monos)})
+    params = [ScalarParam(f"r{k}") for k in range(len(monos))]
+    prob, info = sos_compile([SosConstraint("rho", rho)], params=params)
     assert info.block_dims == {"gram.rho": 3}
     assert info.n_scalar_vars == 6
     sol = solve(prob)
@@ -114,12 +115,9 @@ def test_motzkin_not_sos():
     motzkin = P("x1^4*x2^2 + x1^2*x2^4 - 3*x1^2*x2^2 + 1")
     res = is_sos(motzkin)
     assert res.status is SdpStatus.INFEASIBLE
-    # cross-check: no Gram decomposition at the default basis or enlarged ones
-    for half in (None, 4, 5):
-        con = SosConstraint("m", ParamPoly.from_poly(motzkin), half_degree=half)
-        prob, _ = sos_compile([con])
-        sol = solve(prob)
-        assert sol.status is SdpStatus.INFEASIBLE, f"half_degree={half}"
+    # cross-check: no Gram decomposition at the structural basis
+    prob, _ = sos_compile([SosConstraint("m", ParamPoly.from_poly(motzkin))])
+    assert solve(prob).status is SdpStatus.INFEASIBLE
 
 
 def test_motzkin_nonnegative_sanity():
@@ -166,7 +164,7 @@ def test_parameterized_constraint_with_matrix_bound():
         + ParamPoly.from_poly(poly_from_text("4*x1^2", 1))
     )
     con = SosConstraint("c", expr)
-    prob, info = sos_compile([con], bounds=[MatrixBound(w, 1.0, 4.0)])
+    prob, info = sos_compile([con], bounds=[MatrixBound(w, 1.0, 4.0)], params=[w])
     sol = solve(prob)
     assert sol.status is SdpStatus.FEASIBLE
     wval = float(np.asarray(sol.values["w"])[0, 0])
@@ -223,4 +221,52 @@ def test_undeclared_parameter_rejected():
 def test_matrix_param_without_bound_rejected():
     expr = ParamPoly.param(1, ("W", 0, 0))
     with pytest.raises(ValueError, match="interval bound"):
-        sos_compile([SosConstraint("c", expr)])
+        sos_compile([SosConstraint("c", expr)], params=[MatrixParam("W", 1)])
+
+
+def test_parameters_checked_against_declared_list():
+    W = MatrixParam("W", 2)
+    entry = SosConstraint("c", ParamPoly.param(1, ("W", 2, 0)))
+    scalar = SosConstraint("c", ParamPoly.param(1, ("W",)))
+    matrix = SosConstraint("c", ParamPoly.param(1, ("t", 0, 0)))
+    cases = [
+        ([entry], [MatrixBound(W, 1.0, 2.0)], [W], "beyond its declared dimension"),
+        ([scalar], [MatrixBound(W, 1.0, 2.0)], [W], "used as ScalarParam"),
+        ([matrix], [], [ScalarParam("t")], "used as MatrixParam"),
+        ([], [MatrixBound(W, -1.0, 2.0)], [W], "lo < 0"),
+        ([], [MatrixBound(W, 1.0, 2.0)], [], "does not match a declared"),
+        ([], [MatrixBound(MatrixParam("W", 3), 1.0, 2.0)], [W], "does not match a declared"),
+    ]
+    for cons, bounds, params, match in cases:
+        with pytest.raises(ValueError, match=match):
+            sos_compile(cons, bounds, params)
+
+
+def test_parampoly_algebra_commutes_with_substitution():
+    # every ParamPoly operation is the same Polynomial operation after the
+    # parameters are given values
+    rng = np.random.default_rng(3)
+    values = {"a": 0.7, "W": np.array([[2.0, -0.5], [-0.5, 3.0]])}
+
+    def rand_poly(nvars=2):
+        return Polynomial(nvars, {m: rng.normal() for m in monomials_upto(nvars, 2)})
+
+    def rand_pp():
+        return (ParamPoly.from_poly(rand_poly()) + ParamPoly.param(2, ("a",), rand_poly())
+                + ParamPoly.param(2, ("W", 0, 1), rand_poly())
+                + ParamPoly.param(2, ("W", 1, 0), rand_poly()))
+
+    def close(p, q):
+        return (p - q).max_abs_coeff() <= 1e-12
+
+    p, q, r = rand_pp(), rand_pp(), rand_poly()
+    assert set(p.parts) == {None, ("a",), ("W", 1, 0)}
+    sp, sq = p.substitute_params(values), q.substitute_params(values)
+    assert close((p + q).substitute_params(values), sp + sq)
+    assert close((p - q).substitute_params(values), sp - sq)
+    assert close((p + r).substitute_params(values), sp + r)
+    assert close(p.scale(-1.5).substitute_params(values), sp * -1.5)
+    assert close(p.mul_poly(r).substitute_params(values), sp * r)
+    assert close(p.embed(4, 1).substitute_params(values), sp.embed(4, 1))
+    assert (p - p).parts == {} and p.scale(0.0).degree() == -1
+    assert p.mul_poly(r).degree() == 4

@@ -1,6 +1,9 @@
 """Metric synthesis: hand-solvable scalar programs, benchmark feasibility,
 controller/observer duality, pointwise verification, serialization."""
 
+import hashlib
+import time
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from ccm.synth import (
     metric_constraints,
     metric_from_text,
     metric_to_text,
+    observer_program,
     synthesize,
     verify_pointwise,
 )
@@ -168,7 +172,7 @@ def test_benchmark_gram_basis_enumeration(mg_model, metrics_slow):
 
     prog = controller_program(mg_model, 0.1, 0.1, 1.3)
     main = prog.constraints[0]
-    xdeg = max(sum(m[:2]) for m in main.expression.terms)
+    xdeg = max(sum(m[:2]) for m in main.expression.monomials())
     assert xdeg == 2
     basis = gram_basis(main)
     assert len(basis) == 6
@@ -321,8 +325,75 @@ def test_metric_text_rejects_bad_header(mg_model, metrics_slow):
             metric_from_text(text)
 
 
+def test_metric_text_checks_n_before_sizing_the_model(mg_model, metrics_slow):
+    # n sizes the model key set: a huge n fails on W's shape, not on memory
+    good = metric_to_text(metrics_slow[0], mg_model)
+    for n, match in (("1000000000", r"expected \(1000000000, 1000000000\)"),
+                     ("0", "at least 1"), ("-3", "at least 1")):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=match):
+            metric_from_text(good.replace("\nn 2\n", f"\nn {n}\n"))
+        assert time.perf_counter() - t0 < 0.5
+
+
 def test_controller_metric_theta_factorization(metrics_slow):
     cmetric, _ = metrics_slow
     theta = cmetric.theta
     np.testing.assert_allclose(theta.T @ theta, cmetric.M, atol=1e-12)
     assert np.allclose(theta, np.triu(theta))
+
+
+# -- pinned programs ---------------------------------------------------------------
+#
+# SHA-256 of problem_to_text for programs as ccm builds them: (model, regime,
+# role, rho_degree) -> (equalities, digest). A program changes only on purpose,
+# together with its pin.
+
+PROGRAM_REGIMES = {"mg-slow": (0.1, 0.1, 1.3), "mg-medium": (5.0, 0.1, 30.0),
+                   "mg-fast": (10.0, 0.1, 100.0)}
+PINNED_PROGRAMS = {
+    ("mg", "mg-slow", "controller", 2):
+        (30, "f78716b4d9a75676b136e0a0b6e59065ecbf1bede5f82ca276caa01eb85be4c1"),
+    ("mg", "mg-slow", "controller", 4):
+        (66, "f3836fd3f238f4759fd3a8fb0a9898afd7cb7952a481a9d3b79bd19ad48799c2"),
+    ("mg", "mg-slow", "observer", 2):
+        (30, "826a52809b713d748a9522c355bb4a58f2f69460df5cafe4ef3186d20362e84b"),
+    ("mg", "mg-slow", "observer", 4):
+        (66, "9d73358a649c90f010af89fc58553ab3ee264f63a87b6361ecd6009d44e9566b"),
+    ("mg", "mg-medium", "controller", 2):
+        (30, "99f20803d71ae9c32a823432b9f3fd12261dc0eb3399cea65acdf45b51767840"),
+    ("mg", "mg-medium", "controller", 4):
+        (66, "0a33937f329361614339fbf8f23c86be4ca251756cd971882c12ba7a95227e2a"),
+    ("mg", "mg-medium", "observer", 2):
+        (30, "cb2f1637c8b6a4a0571ff20bac5732b6342902a52df8d184d49fb9ebc079eb31"),
+    ("mg", "mg-medium", "observer", 4):
+        (66, "df69d73ce0a39435671900bc4148b45b91a06aa6f940684ab2855e3a026ac5d7"),
+    ("mg", "mg-fast", "controller", 2):
+        (30, "296d05f53628a82efca28abe6c7b0a0b5661d0542b5bf6b61a208a917ce40777"),
+    ("mg", "mg-fast", "controller", 4):
+        (66, "a2854456b8898e36ff3992941817efbdc998792651ec92f163e486b92bae3148"),
+    ("mg", "mg-fast", "observer", 2):
+        (30, "fc30760fc4d5c14284f33aa653c3c3b606b91009d58d411e9814bd9543153af9"),
+    ("mg", "mg-fast", "observer", 4):
+        (66, "2117578d360eda4aafb0499eb54cea892e0589585b40d8cd5b1e176e1da7cf8f"),
+    ("lag", "mg-slow", "controller", 4):
+        (257, "68cd698269cf431d50029c914c7f1a5eafdb5fe8a5a9ec6e07e9c75e9c2250c1"),
+}
+
+
+def _lag_model():
+    """The 3-state actuator-lag model at its nominal coefficients."""
+    f = ["-x2 - 1.5*x1^2 - 0.5*x1^3", "x1 + x3", "-2.0*x3"]
+    return SystemModel(PolyMatrix.column([poly_from_text(t, 3) for t in f]),
+                       np.array([[0.0], [0.0], [1.0]]), np.array([[0.0, 1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("key", list(PINNED_PROGRAMS))
+def test_compiled_programs_pinned(mg_model, key):
+    family, regime, role, rho_degree = key
+    model = mg_model if family == "mg" else _lag_model()
+    build = controller_program if role == "controller" else observer_program
+    program = build(model, *PROGRAM_REGIMES[regime], rho_degree)
+    prob, info = sos_compile(program.constraints, program.bounds, program.params)
+    text = problem_to_text(prob)
+    assert (info.n_equalities, hashlib.sha256(text.encode()).hexdigest()) == PINNED_PROGRAMS[key]
